@@ -16,25 +16,17 @@ import os
 import sys
 
 from . import __version__
-from .errors import (
-    CapExceededError,
-    CycleError,
-    EmptyError,
-    FinitoError,
-    NotConnectedError,
-    NotContinuousError,
-    ParseError,
-)
+from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
     check_wedge_model,
     enumerate_posets,
+    enumerate_wedge_minimal_models,
     enumeration_stats,
     is_square,
     minimal_wedge_size,
     sphere_model,
     verify_sphere_theorem,
-    wedge_uniqueness_scan,
 )
 from .order_complex import euler_characteristic, homology, order_complex
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
@@ -159,7 +151,7 @@ def cmd_pi1(args) -> int:
         try:
             base = doc.labels.index(args.base)
         except ValueError:
-            raise ParseError(0, f"basepoint {args.base!r} is not a point")
+            raise ValueError(f"basepoint {args.base!r} is not a point") from None
     else:
         base = doc.base if doc.base is not None else 0
     pres = edge_path_presentation(p, base)
@@ -303,19 +295,17 @@ def cmd_verify_spheres(args) -> int:
 def cmd_verify_wedges(args) -> int:
     rows = []
     failures = []
-    for n, count in wedge_uniqueness_scan(args.max_n, max_points=args.max_points):
+    for n in range(1, args.max_n + 1):
+        models = enumerate_wedge_minimal_models(n, max_points=args.max_points)
+        count = len(models)
         size = minimal_wedge_size(n)
         square = is_square(n)
         ok = (count == 1) == square and count >= 1
-        models = []
-        from .models import enumerate_wedge_minimal_models
-
-        for p in enumerate_wedge_minimal_models(n, max_points=args.max_points):
+        for p in models:
             cert = check_wedge_model(p, n)
             if not (cert.connected and cert.b1 == n):
                 ok = False
                 failures.append(p)
-            models.append(p)
         codes = {p.canonical_form().code for p in models}
         if {p.opposite().canonical_form().code for p in models} != codes:
             ok = False
@@ -359,37 +349,28 @@ def _parse_filter(spec: str):
 
 
 def cmd_enumerate(args) -> int:
-    if args.filter:
-        pred = _parse_filter(args.filter)
-        matched = []
-        for p in enumerate_posets(args.k, max_points=args.max_points, workers=args.workers):
-            if pred(p):
-                matched.append(p)
-        if args.json:
-            data = {"k": args.k, "filter": args.filter, "count": len(matched)}
-            if args.emit:
-                data["classes"] = [emit(p) for p in matched]
-            return _emit_json(data)
-        print(f"k={args.k} [{args.filter}]: {len(matched)} classes")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    pred = _parse_filter(args.filter) if args.filter else None
+    classes = enumerate_posets(args.k, max_points=args.max_points, workers=args.workers)
+    if pred:
+        classes = [p for p in classes if pred(p)]
+        data = {"k": args.k, "filter": args.filter, "count": len(classes)}
+        heading = [f"k={args.k} [{args.filter}]: {len(classes)} classes"]
+    else:
         if args.emit:
-            for p in matched:
-                print()
-                print(emit(p), end="")
-        return 0
-    stats = enumeration_stats(args.k, max_points=args.max_points)
-    if args.json:
+            classes = list(classes)
+        stats = enumeration_stats(args.k, classes)
         data = {"k": args.k, "total": stats.total, "by_filter": stats.by_filter}
+        heading = [f"k={args.k}: {stats.total} classes"]
+        heading += [f"  {name:<12}{count}" for name, count in stats.by_filter.items()]
+    if args.json:
         if args.emit:
-            data["classes"] = [
-                emit(p)
-                for p in enumerate_posets(args.k, max_points=args.max_points)
-            ]
+            data["classes"] = [emit(p) for p in classes]
         return _emit_json(data)
-    print(f"k={args.k}: {stats.total} classes")
-    for name, count in stats.by_filter.items():
-        print(f"  {name:<12}{count}")
+    print("\n".join(heading))
     if args.emit:
-        for p in enumerate_posets(args.k, max_points=args.max_points):
+        for p in classes:
             print()
             print(emit(p), end="")
     return 0
@@ -457,13 +438,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, CycleError, EmptyError, CapExceededError, NotConnectedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FinitoError as exc:
+    except (FinitoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,10 +14,11 @@ class CycleError(FinitoError):
 
 
 class ParseError(FinitoError):
-    """Malformed poset text; carries the 1-based line number."""
+    """Malformed poset or map text; carries the 1-based line number, or
+    None when the fault lies in no single line."""
 
     def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DuplicateCoverError, ParseError
 from .order_complex import faces_text, order_complex
@@ -24,17 +24,25 @@ FORMATS = ("poset", "json", "dot", "faces")
 
 @dataclass(frozen=True)
 class PosetDocument:
-    """Parsed poset file: labels, cover pairs (as indices) and basepoint."""
+    """Parsed poset file: labels, cover pairs (as indices) and basepoint.
+
+    The order is closed and checked once, on construction, which raises
+    CycleError for a cyclic cover relation.
+    """
 
     labels: tuple[str, ...]
     covers: tuple[tuple[int, int], ...]
     base: int | None = None
+    _poset: FinitePoset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_poset", FinitePoset.from_covers(self.to_hasse()))
 
     def to_hasse(self) -> HasseDiagram:
         return HasseDiagram(len(self.labels), frozenset(self.covers), self.labels)
 
     def to_poset(self) -> FinitePoset:
-        return FinitePoset.from_covers(self.to_hasse())
+        return self._poset
 
 
 def parse_poset(text: str) -> PosetDocument:
@@ -97,9 +105,7 @@ def parse_poset(text: str) -> PosetDocument:
         if base_name not in index:
             raise ParseError(base_line, f"basepoint {base_name!r} never declared")
         base = index[base_name]
-    doc = PosetDocument(tuple(labels), tuple(covers), base)
-    doc.to_poset()  # validates acyclicity now, with no file context lost
-    return doc
+    return PosetDocument(tuple(labels), tuple(covers), base)
 
 
 def _emittable_label(p: FinitePoset, x: int) -> str:
@@ -179,5 +185,5 @@ def parse_map(text: str, src: PosetDocument, dst: PosetDocument) -> list[int]:
         mapping[src_index[a]] = dst_index[b]
     missing = [name for name, i in src_index.items() if i not in mapping]
     if missing:
-        raise ParseError(0, f"unmapped source points: {', '.join(sorted(missing))}")
+        raise ParseError(None, f"unmapped source points: {', '.join(sorted(missing))}")
     return [mapping[i] for i in range(len(src.labels))]

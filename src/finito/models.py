@@ -14,7 +14,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapExceededError
 from .order_complex import betti_numbers, euler_characteristic
@@ -27,11 +27,21 @@ MAX_POINTS_ENV = "FINITO_MAX_POINTS"
 
 
 def resolve_cap(max_points: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else FINITO_MAX_POINTS, else 8."""
-    cap = max_points
-    if cap is None:
-        env = os.environ.get(MAX_POINTS_ENV)
-        cap = int(env) if env else DEFAULT_MAX_POINTS
+    """Enumeration cap: explicit argument, else FINITO_MAX_POINTS, else 8.
+
+    A cap that is not a whole number of at least 1 raises ValueError naming
+    where it came from.
+    """
+    source, raw = "--max-points", max_points
+    if raw is None:
+        source = MAX_POINTS_ENV
+        raw = os.environ.get(MAX_POINTS_ENV) or DEFAULT_MAX_POINTS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be a whole number of at least 1, got {raw!r}")
     if cap > HARD_MAX_POINTS:
         raise CapExceededError(
             f"cap {cap} exceeds the hard limit of {HARD_MAX_POINTS} points"
@@ -47,7 +57,7 @@ def nh_suspension(p: FinitePoset) -> FinitePoset:
     n = p.n
     two = (1 << n) | (1 << (n + 1))
     up = [row | two for row in p.up] + [1 << n, 1 << (n + 1)]
-    return FinitePoset(up)
+    return FinitePoset._trusted(up)
 
 
 def sphere_model(n: int) -> FinitePoset:
@@ -208,16 +218,16 @@ def _children_batch(codes) -> set[bytes]:
 _code_cache: dict[int, tuple[bytes, ...]] = {}
 
 
-def _codes(k: int, workers: int = 1, reuse_cache: bool = True) -> tuple[bytes, ...]:
+def _codes(k: int, workers: int = 1) -> tuple[bytes, ...]:
     """Sorted canonical codes of all k-point classes, grown one maximal
     point at a time; duplicate classes vanish because each class has one
     code, so workers never need to coordinate."""
-    if reuse_cache and k in _code_cache:
+    if k in _code_cache:
         return _code_cache[k]
     if k == 1:
         result = (FinitePoset((1,)).canonical_form().code,)
     else:
-        parents = _codes(k - 1, workers, reuse_cache)
+        parents = _codes(k - 1, workers)
         if workers > 1 and len(parents) >= 32:
             ctx = multiprocessing.get_context("fork")
             chunks = [parents[i::workers] for i in range(workers)]
@@ -227,8 +237,7 @@ def _codes(k: int, workers: int = 1, reuse_cache: bool = True) -> tuple[bytes, .
         else:
             found = _children_batch(parents)
         result = tuple(sorted(found))
-    if reuse_cache:
-        _code_cache[k] = result
+    _code_cache[k] = result
     return result
 
 
@@ -237,7 +246,6 @@ def enumerate_posets(
     *,
     max_points: int | None = None,
     workers: int = 1,
-    reuse_cache: bool = True,
 ) -> Iterator[FinitePoset]:
     """One canonically labeled representative per isomorphism class of
     k-point posets, in canonical-form order."""
@@ -249,7 +257,7 @@ def enumerate_posets(
             f"k={k} exceeds the enumeration cap of {cap} points"
             f" (raise it explicitly or via {MAX_POINTS_ENV})"
         )
-    for code in _codes(k, workers, reuse_cache):
+    for code in _codes(k, workers):
         yield _poset_from_code(code)
 
 
@@ -262,11 +270,12 @@ class EnumerationStats:
     by_filter: dict[str, int] = field(default_factory=dict)
 
 
-def enumeration_stats(k: int, *, max_points: int | None = None) -> EnumerationStats:
+def enumeration_stats(k: int, classes: Iterable[FinitePoset]) -> EnumerationStats:
+    """Counts over the k-point classes given, e.g. by ``enumerate_posets(k)``."""
     stats = EnumerationStats(k=k, total=0)
     heights: dict[int, int] = {}
     connected = minimal = 0
-    for p in enumerate_posets(k, max_points=max_points):
+    for p in classes:
         stats.total += 1
         heights[p.height] = heights.get(p.height, 0) + 1
         if p.is_connected():

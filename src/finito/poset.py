@@ -8,7 +8,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -33,14 +33,18 @@ class CanonicalForm:
 class HasseDiagram:
     """Cover relation (x, y) meaning x is covered by y.
 
-    Acyclicity is checked on construction; the edge set is not required to
-    be transitively reduced (``FinitePoset.from_covers`` closes over
-    redundant edges and ``hasse`` re-normalizes).
+    This is where a cover relation from outside is checked: construction
+    rejects points out of range, self-loops, directed cycles and a label
+    list of the wrong length, and keeps the topological order it found as
+    ``order``.  The edge set is not required to be transitively reduced
+    (``FinitePoset.from_covers`` closes over redundant edges and ``hasse``
+    re-normalizes).
     """
 
     n: int
     covers: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -50,13 +54,17 @@ class HasseDiagram:
                 raise IndexError(f"cover ({x}, {y}) out of range for n={self.n}")
             if x == y:
                 raise CycleError(f"self-loop at {x}")
-        _toposort(self.n, self.covers)
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != self.n:
+                raise ValueError("labels length must equal point count")
+        object.__setattr__(self, "order", _toposort(self.n, self.covers))
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
 
 
-def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
+def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Kahn topological order of the cover digraph; raises CycleError."""
     succ = [[] for _ in range(n)]
     indeg = [0] * n
@@ -74,7 +82,7 @@ def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
                 queue.append(y)
     if len(order) != n:
         raise CycleError("cover relation contains a directed cycle")
-    return order
+    return tuple(order)
 
 
 class FinitePoset:
@@ -113,8 +121,12 @@ class FinitePoset:
 
     @classmethod
     def _trusted(cls, up: Sequence[int], labels=None) -> "FinitePoset":
-        """Skip invariant validation for relations already known valid
-        (enumeration hot path)."""
+        """Skip invariant validation for relations already known valid.
+
+        Serves every order derived from a valid one (induced subposets,
+        opposites, suspensions, quotients, closures of checked cover
+        relations) and the canonically labelled rows of enumeration.
+        """
         self = object.__new__(cls)
         self.n = len(up)
         self.up = tuple(up)
@@ -125,17 +137,18 @@ class FinitePoset:
     def from_covers(cls, h: HasseDiagram) -> "FinitePoset":
         """Reflexive-transitive closure of a cover relation.
 
-        Redundant (non-reduced) edges are tolerated and closed over.
+        Redundant (non-reduced) edges are tolerated and closed over.  The
+        closure of an acyclic relation is a partial order, so it is not
+        checked again.
         """
-        order = _toposort(h.n, h.covers)
         up = [1 << x for x in range(h.n)]
         above = [[] for _ in range(h.n)]
         for x, y in h.covers:
             above[x].append(y)
-        for x in reversed(order):
+        for x in reversed(h.order):
             for y in above[x]:
                 up[x] |= up[y]
-        return cls(up, h.labels)
+        return cls._trusted(up, h.labels)
 
     @classmethod
     def from_cover_pairs(
@@ -144,8 +157,7 @@ class FinitePoset:
         pairs: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "FinitePoset":
-        lab = tuple(labels) if labels is not None else None
-        return cls.from_covers(HasseDiagram(n, frozenset(pairs), lab))
+        return cls.from_covers(HasseDiagram(n, frozenset(pairs), labels))
 
     @classmethod
     def chain(cls, k: int) -> "FinitePoset":
@@ -184,7 +196,7 @@ class FinitePoset:
 
     def opposite(self) -> "FinitePoset":
         """Same points with the reversed order; an involution."""
-        return FinitePoset(self.down, self.labels)
+        return FinitePoset._trusted(self.down, self.labels)
 
     @cached_property
     def levels(self) -> tuple[int, ...]:
@@ -249,8 +261,20 @@ class FinitePoset:
     # -- structure transforms ----------------------------------------------
 
     def subposet(self, keep: Sequence[int]) -> "FinitePoset":
-        """Induced order on the given points (kept in the given order)."""
-        pos = {v: i for i, v in enumerate(keep)}
+        """Induced order on the given points (kept in the given order).
+
+        ``keep`` must name distinct points of this space: a point out of
+        range raises IndexError, a repeated one ValueError.
+        """
+        if not keep:
+            raise EmptyError("a finite space needs at least one point")
+        pos = {}
+        for i, v in enumerate(keep):
+            if not 0 <= v < self.n:
+                raise IndexError(f"point {v} out of range for n={self.n}")
+            if v in pos:
+                raise ValueError(f"point {v} is kept twice")
+            pos[v] = i
         up = []
         for v in keep:
             row = 0
@@ -259,7 +283,7 @@ class FinitePoset:
                     row |= 1 << pos[w]
             up.append(row)
         labels = tuple(self.label(v) for v in keep) if self.labels else None
-        return FinitePoset(up, labels)
+        return FinitePoset._trusted(up, labels)
 
     def relabel(self, perm: Sequence[int]) -> "FinitePoset":
         """Copy with point i of the result being point perm[i] of self."""

@@ -163,6 +163,26 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_workers_below_one_is_an_input_error(capsys):
+    code, out, err = run(capsys, "enumerate", "3", "--workers", "0", "--json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--workers" in err
+
+
+def test_bad_max_points_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("FINITO_MAX_POINTS", "abc")
+    code, out, err = run(capsys, "enumerate", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "FINITO_MAX_POINTS" in err
+    assert "invalid literal" not in err
+
+
+def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):
+    code, _, err = run(capsys, "pi1", counter_file, "--base", "z")
+    assert code == 2
+    assert err == "error: basepoint 'z' is not a point\n"
+
+
 def test_installed_pipeline(cli_env):
     """Runs the console-script entry point ``finito.cli:main`` through ``-m``."""
     finito = [sys.executable, "-m", "finito"]

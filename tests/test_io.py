@@ -138,8 +138,8 @@ def test_parse_map():
     dst = parse_poset("x < y\n")
     mapping = parse_map("a -> x\nb -> y\nc -> x\n", src, dst)
     assert mapping == [0, 1, 0]
-    with pytest.raises(ParseError):
-        parse_map("a -> x\nb -> y\n", src, dst)  # c unmapped
+    with pytest.raises(ParseError, match="^unmapped source points: c$"):
+        parse_map("a -> x\nb -> y\n", src, dst)
     with pytest.raises(ParseError):
         parse_map("a -> x\na -> y\nb -> y\nc -> x\n", src, dst)
     with pytest.raises(ParseError):

@@ -168,12 +168,18 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("FINITO_MAX_POINTS", "11")
     with pytest.raises(CapExceededError):
         resolve_cap()
+    for bad in ("abc", "-3", "0"):
+        monkeypatch.setenv("FINITO_MAX_POINTS", bad)
+        with pytest.raises(ValueError, match="FINITO_MAX_POINTS"):
+            resolve_cap()
+    with pytest.raises(ValueError, match="--max-points"):
+        resolve_cap(0)
     monkeypatch.delenv("FINITO_MAX_POINTS")
     assert resolve_cap() == 8
 
 
 def test_enumeration_stats():
-    stats = enumeration_stats(5)
+    stats = enumeration_stats(5, enumerate_posets(5))
     assert stats.total == 63
     assert stats.by_filter["connected"] == 44
     assert stats.by_filter["minimal"] == 4
@@ -236,11 +242,8 @@ def test_wedge_models_closed_under_opposite_up_to_cap():
         assert {m.opposite().canonical_form().code for m in models} == codes
 
 
-def test_enumeration_reproducible_fresh_and_parallel():
-    serial = [p.canonical_form().code for p in enumerate_posets(6, reuse_cache=False)]
-    again = [p.canonical_form().code for p in enumerate_posets(6, reuse_cache=False)]
-    parallel = [
-        p.canonical_form().code
-        for p in enumerate_posets(6, workers=2, reuse_cache=False)
-    ]
+def test_enumeration_reproducible_fresh_and_parallel(fresh_codes):
+    serial = fresh_codes(6)
+    again = fresh_codes(6)
+    parallel = fresh_codes(6, workers=2)
     assert serial == again == parallel

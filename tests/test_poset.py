@@ -3,7 +3,7 @@ import random
 import pytest
 
 from finito import CycleError, EmptyError, FinitePoset, HasseDiagram
-from finito.models import enumerate_posets
+from finito.models import enumerate_posets, nh_suspension
 
 
 def brute_reduction(p):
@@ -66,6 +66,8 @@ def test_from_covers_rejects_cycles_and_empty():
         FinitePoset.from_cover_pairs(2, [(0, 1), (1, 0)])
     with pytest.raises(EmptyError):
         HasseDiagram(0, frozenset())
+    with pytest.raises(ValueError):
+        FinitePoset.from_cover_pairs(2, [], labels=["a"])
 
 
 def test_from_covers_tolerates_redundant_edges():
@@ -237,3 +239,22 @@ def test_subposet_induced_order():
     assert c.subposet([0, 2]) == FinitePoset.chain(2)
     p = c.subposet([2, 0])
     assert p.leq(1, 0) and not p.leq(0, 1)
+    with pytest.raises(ValueError):
+        c.subposet([0, 0])
+    with pytest.raises(IndexError):
+        c.subposet([5])
+
+
+def test_derived_orders_pass_the_full_check():
+    """Subposets, opposites and suspensions skip validation; rebuilding each
+    through the checking constructor must give the same order."""
+    for k in range(1, 7):
+        for p in enumerate_posets(k):
+            p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
+            derived = [p.opposite(), nh_suspension(p)]
+            if p.n > 1:
+                derived += [
+                    p.subposet([v for v in range(p.n) if v != x]) for x in range(p.n)
+                ]
+            for q in derived:
+                assert FinitePoset(q.up, q.labels) == q

@@ -171,6 +171,19 @@ def test_osaki_quotients_preserve_euler_and_b1():
                     assert b1(q) == b1(p)
 
 
+def test_osaki_quotients_pass_the_full_check():
+    """Quotients skip validation; rebuilding each through the checking
+    constructor must give the same order."""
+    for k in range(1, 7):
+        for p in enumerate_posets(k):
+            p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
+            for x in range(p.n):
+                for reduce in (osaki_open_reduction, osaki_closed_reduction):
+                    q = reduce(p, x)
+                    if q is not None:
+                        assert FinitePoset(q.up, q.labels) == q
+
+
 def test_mccord_identity(ss0):
     report = mccord_check(ss0, ss0, list(range(4)))
     assert report.ok
