@@ -23,7 +23,6 @@ from .errors import (
     NotConnectedError,
     NotContinuousError,
     ParseError,
-    QuotientError,
 )
 from .fileio import PosetDocument, emit, parse_poset
 from .models import (

@@ -52,10 +52,6 @@ class IllFormedPathError(FinitoError):
     """An edge sequence is not a valid path in the cover digraph."""
 
 
-class QuotientError(FinitoError):
-    """A quotient of a finite space failed to be T0."""
-
-
 class CapExceededError(FinitoError):
     """Requested enumeration size exceeds the configured cap."""
 

@@ -99,7 +99,7 @@ def parse_poset(text: str) -> PosetDocument:
         intern(line, lineno)
 
     if not labels:
-        raise ParseError(1, "no points declared")
+        raise ParseError(None, "no points declared")
     base = None
     if base_name is not None:
         if base_name not in index:

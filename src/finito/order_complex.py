@@ -1,8 +1,10 @@
 """Order complexes of finite posets and their exact integral homology.
 
 The complex of a poset has the nonempty chains as simplices.  Homology is
-computed from integer boundary matrices via Smith normal form, so Betti
-numbers and torsion coefficients are exact.
+computed from the integer boundary maps, built as sparse columns of +-1
+entries: every unit pivot is eliminated first, and Smith normal form runs
+only on the block left over, so Betti numbers and torsion coefficients are
+exact.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poset import FinitePoset
-from .snf import smith_invariant_factors
+from .poset import FinitePoset, _bits
+from .snf import eliminate_unit_pivots, smith_invariant_factors
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,20 @@ class SimplicialComplex:
         self.dim = max(len(f) for f in faces) - 1
 
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return sorted(f for f in self.faces if len(f) == d + 1)
+        return list(self._sorted_faces[d]) if 0 <= d <= self.dim else []
+
+    @cached_property
+    def _sorted_faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Faces of each dimension 0..dim, sorted."""
+        by_dim = [[] for _ in range(self.dim + 1)]
+        for f in self.faces:
+            by_dim[len(f) - 1].append(f)
+        return tuple(tuple(sorted(fs)) for fs in by_dim)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, 0..dim."""
-        counts = [0] * (self.dim + 1)
-        for f in self.faces:
-            counts[len(f) - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, self._sorted_faces))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * c for d, c in enumerate(self.f_vector))
@@ -88,30 +95,57 @@ def order_complex(p: FinitePoset) -> SimplicialComplex:
 
 
 def euler_characteristic(p: FinitePoset) -> int:
-    """Alternating chain sum: each nonempty chain C contributes (-1)^(#C+1)."""
-    return sum((-1) ** (len(c) + 1) for c in p.chains())
+    """Alternating chain sum: each nonempty chain C contributes (-1)^(#C+1).
+
+    Chains are counted by length, not listed: visiting the points in a
+    linear extension, the chains with top y are y alone and each chain
+    with top x < y extended by y.
+    """
+    ending = {}  # ending[y][l]: chains of l+1 points with top y
+    for y in sorted(range(p.n), key=lambda x: p.down[x].bit_count()):
+        counts = [1]
+        for x in _bits(p.down[y] & ~(1 << y)):
+            for length, c in enumerate(ending[x], 1):
+                if length == len(counts):
+                    counts.append(0)
+                counts[length] += c
+        ending[y] = counts
+    return sum(
+        (-1) ** length * c for counts in ending.values() for length, c in enumerate(counts)
+    )
 
 
 def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
     return k.f_vector
 
 
+def _boundary_columns(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
+    """Boundary map C_d -> C_{d-1} as sparse columns {row: +-1}, one per
+    d-face; rows and columns follow ``faces_of_dim``."""
+    rows = {f: i for i, f in enumerate(k.faces_of_dim(d - 1))}
+    return [
+        {rows[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
+        for face in k.faces_of_dim(d)
+    ]
+
+
 def boundary_matrix(k: SimplicialComplex, d: int) -> list[list[int]]:
     """Integer matrix of the boundary map C_d -> C_{d-1} (d >= 1)."""
-    rows = {f: i for i, f in enumerate(k.faces_of_dim(d - 1))}
-    cols = k.faces_of_dim(d)
-    mat = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            mat[rows[sub]][j] = (-1) ** i
+    columns = _boundary_columns(k, d)
+    mat = [[0] * len(columns) for _ in k.faces_of_dim(d - 1)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            mat[i][j] = v
     return mat
 
 
 def homology(k: SimplicialComplex) -> HomologySummary:
     """Integral simplicial homology: exact Betti numbers and torsion."""
     dim = k.dim
-    factors = {d: smith_invariant_factors(boundary_matrix(k, d)) for d in range(1, dim + 1)}
+    factors = {}
+    for d in range(1, dim + 1):
+        units, residual = eliminate_unit_pivots(_boundary_columns(k, d))
+        factors[d] = [1] * units + smith_invariant_factors(residual)
     ranks = {d: len(factors.get(d, [])) for d in range(dim + 2)}
     betti = tuple(k.f_vector[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1))
     torsion = tuple(

@@ -209,3 +209,12 @@ def test_stdin_dash(capsys, monkeypatch):
     code, out, _ = run(capsys, "info", "-")
     assert code == 0
     assert "points      2" in out
+
+
+def test_empty_input_has_no_line_number(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# nothing\n"))
+    code, out, err = run(capsys, "info", "-")
+    assert code == 2 and out == ""
+    assert err == "error: no points declared\n"

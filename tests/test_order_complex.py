@@ -15,7 +15,39 @@ from finito import (
     sphere_model,
 )
 from finito.models import enumerate_posets
-from finito.snf import IntRowSpan, matrix_rank, smith_invariant_factors, xgcd
+from finito.order_complex import boundary_matrix
+from finito.snf import (
+    IntRowSpan,
+    eliminate_unit_pivots,
+    matrix_rank,
+    smith_invariant_factors,
+    xgcd,
+)
+
+
+def sparse_columns(matrix):
+    """Columns of a dense row-list matrix as {row: entry} dicts."""
+    width = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]
+
+
+def sparse_first_factors(columns):
+    """Invariant factors as homology computes them: unit pivots, then the
+    residual block through dense SNF."""
+    units, residual = eliminate_unit_pivots(columns)
+    return [1] * units + smith_invariant_factors(residual)
+
+
+def mobius_euler(p):
+    """1 + mu(0, 1) in p with a bottom 0 and a top 1 added (P. Hall's
+    theorem), mu computed downward from the top: mu(x, 1) = -sum of
+    mu(t, 1) over x < t <= 1."""
+    mu_to_top = {}
+    for x in sorted(range(p.n), key=lambda x: p.up[x].bit_count()):
+        above = [t for t in range(p.n) if t != x and p.leq(x, t)]
+        mu_to_top[x] = -1 - sum(mu_to_top[t] for t in above)
+    mu_bottom_top = -1 - sum(mu_to_top.values())
+    return 1 + mu_bottom_top
 
 
 def test_chain_gives_full_simplex():
@@ -58,6 +90,13 @@ def test_euler_characteristic_examples(wedge5):
     assert euler_characteristic(wedge5) == -1
 
 
+def test_euler_matches_mobius_oracle():
+    for k in range(1, 8):
+        for p in enumerate_posets(k):
+            assert euler_characteristic(p) == mobius_euler(p)
+    assert euler_characteristic(FinitePoset.chain(160)) == 1
+
+
 def test_euler_chain_sum_matches_f_vector():
     for k in range(1, 7):
         for p in enumerate_posets(k):
@@ -80,7 +119,7 @@ def test_homology_full_simplex():
 
 
 def test_homology_spheres():
-    for n in range(1, 4):
+    for n in range(1, 9):
         h = homology(order_complex(sphere_model(n)))
         assert h.betti == tuple([1] + [0] * (n - 1) + [1])
         assert all(t == () for t in h.torsion)
@@ -146,6 +185,32 @@ def test_smith_invariant_factors_known():
     assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert smith_invariant_factors([[2, 0], [0, 2]]) == [2, 2]
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
+
+
+def test_sparse_kernel_matches_dense_snf():
+    for k in range(1, 8):
+        for p in enumerate_posets(k):
+            kx = order_complex(p)
+            for d in range(1, kx.dim + 1):
+                m = boundary_matrix(kx, d)
+                assert sparse_first_factors(sparse_columns(m)) == smith_invariant_factors(m)
+
+
+def test_eliminate_unit_pivots_known():
+    for m, want in [
+        ([[2, 4], [6, 8]], [2, 4]),  # no unit pivot: all of it is residual
+        ([[0, 0], [0, 0]], []),
+        ([[1, 1], [1, -1]], [1, 2]),  # elimination leaves the entry -2
+        ([[1, 1, 0], [1, -1, 2], [0, 2, 4]], [1, 2, 6]),
+        ([[3, 0], [0, 1]], [1, 3]),
+    ]:
+        assert sparse_first_factors(sparse_columns(m)) == want == smith_invariant_factors(m)
+    assert eliminate_unit_pivots([]) == (0, [])
+    assert eliminate_unit_pivots([{}, {}]) == (0, [])
+    assert eliminate_unit_pivots([{0: 2, 1: 6}, {0: 4, 1: 8}]) == (0, [[2, 4], [6, 8]])
+    columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert eliminate_unit_pivots(columns) == (1, [[-2]])
+    assert columns == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
 def test_smith_divisibility_chain():
