@@ -67,26 +67,21 @@ def _emit_json(obj) -> int:
     return 0
 
 
-def _betti_pair(p):
-    h = homology(order_complex(p))
-    b1 = h.betti[1] if len(h.betti) > 1 else 0
-    return h, b1
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_info(args) -> int:
     p, _ = _load(args.file)
     bps = beat_points(p)
-    h, b1 = _betti_pair(p)
+    # homology is a homotopy invariant, and the core's complex is the smaller
+    betti = homology(order_complex(core(p).final)).betti
     data = {
         "points": p.n,
         "height": p.height,
         "components": len(p.connected_components()),
         "euler": euler_characteristic(p),
-        "b0": h.betti[0],
-        "b1": b1,
+        "b0": betti[0],
+        "b1": betti[1] if len(betti) > 1 else 0,
         "beat_points": [
             {"point": p.label(r.element), "kind": r.kind, "witness": p.label(r.witness)}
             for r in bps
@@ -343,7 +338,13 @@ def _parse_filter(spec: str):
     if spec == "minimal":
         return lambda p: not beat_points(p)
     if spec.startswith("height="):
-        h = int(spec.split("=", 1)[1])
+        value = spec.split("=", 1)[1]
+        try:
+            h = int(value)
+        except ValueError:
+            raise ValueError(
+                f"the value of --filter height=H must be a whole number, got {value!r}"
+            ) from None
         return lambda p: p.height == h
     raise ValueError(f"unknown filter {spec!r} (connected, minimal, or height=H)")
 

@@ -56,6 +56,16 @@ class SimplicialComplex:
         self.faces = faces
         self.dim = max(len(f) for f in faces) - 1
 
+    @classmethod
+    def _trusted(cls, n_vertices: int, faces: frozenset) -> "SimplicialComplex":
+        """Skip the checks for sorted faces already known to be closed under
+        subsets and to cover every vertex, such as the chains of a poset."""
+        self = object.__new__(cls)
+        self.n_vertices = n_vertices
+        self.faces = faces
+        self.dim = max(len(f) for f in faces) - 1
+        return self
+
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         return list(self._sorted_faces[d]) if 0 <= d <= self.dim else []
 
@@ -91,7 +101,9 @@ class SimplicialComplex:
 
 def order_complex(p: FinitePoset) -> SimplicialComplex:
     """Complex whose simplices are the nonempty chains of p."""
-    return SimplicialComplex(p.n, (tuple(sorted(c)) for c in p.chains()))
+    # chains ascend in the order of p, faces in index order
+    faces = frozenset(tuple(sorted(c)) for c in p.chains())
+    return SimplicialComplex._trusted(p.n, faces)
 
 
 def euler_characteristic(p: FinitePoset) -> int:

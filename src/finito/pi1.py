@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import IllFormedMoveError, IllFormedPathError, NotConnectedError
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits
 from .snf import matrix_rank
 
 
@@ -209,18 +209,19 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     tree = spanning_tree(p, x0)
     gens = [e for e in comparability_edges(p) if e not in tree]
     gen_index = {e: i + 1 for i, e in enumerate(gens)}
+    strict_up = [p.up[x] & ~(1 << x) for x in range(p.n)]
     relators = []
-    for chain in p.chains():
-        if len(chain) != 3:
-            continue
-        x, y, z = chain
-        word = free_reduce(
-            _edge_letter(p, tree, gen_index, x, y)
-            + _edge_letter(p, tree, gen_index, y, z)
-            + invert_word(_edge_letter(p, tree, gen_index, x, z))
-        )
-        if word:
-            relators.append(word)
+    # the three-point chains in the order FinitePoset.chains lists them
+    for x in range(p.n):
+        for y in _bits(strict_up[x]):
+            for z in _bits(strict_up[y]):
+                word = free_reduce(
+                    _edge_letter(p, tree, gen_index, x, y)
+                    + _edge_letter(p, tree, gen_index, y, z)
+                    + invert_word(_edge_letter(p, tree, gen_index, x, z))
+                )
+                if word:
+                    relators.append(word)
     return GroupPresentation(len(gens), tuple(relators))
 
 

@@ -3,12 +3,15 @@
 Beat points and cores in the sense of Stong, contractibility and homotopy
 equivalence tests, Osaki's open and closed quotient reductions with their
 hypothesis check, the basis-like-cover continuity criterion for a given
-map, and removal of non-extremal points.
+map, and removal of non-extremal points.  A subspace is a bitmask of the
+points of the space it lies in; a FinitePoset is built only for a space
+handed back to the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     FlattenBlockedError,
@@ -39,23 +42,37 @@ class ReductionTrace:
     final: FinitePoset
 
 
+def _beats(p: FinitePoset, alive: int) -> Iterator[BeatPointReport]:
+    """Beat points of the subspace of the points in ``alive``, by index,
+    each point's "down" report before its "up" one."""
+    down, up = p.down, p.up
+    for x in _bits(alive):
+        below = down[x] & alive & ~(1 << x)
+        if below:
+            for y in _bits(below):
+                if not below & ~down[y]:
+                    yield BeatPointReport(x, "down", y)
+                    break
+        above = up[x] & alive & ~(1 << x)
+        if above:
+            for y in _bits(above):
+                if not above & ~up[y]:
+                    yield BeatPointReport(x, "up", y)
+                    break
+
+
 def beat_points(p: FinitePoset) -> list[BeatPointReport]:
     """All beat points; empty iff p is a minimal finite space."""
-    out = []
-    for x in range(p.n):
-        down = p.down[x] & ~(1 << x)
-        if down:
-            for y in _bits(down):
-                if not down & ~p.down[y]:
-                    out.append(BeatPointReport(x, "down", y))
-                    break
-        up = p.up[x] & ~(1 << x)
-        if up:
-            for y in _bits(up):
-                if not up & ~p.up[y]:
-                    out.append(BeatPointReport(x, "up", y))
-                    break
-    return out
+    return list(_beats(p, (1 << p.n) - 1))
+
+
+def _strip(p: FinitePoset, alive: int) -> tuple[list[BeatPointReport], int]:
+    """Remove the first beat point of ``alive`` until none is left."""
+    removed = []
+    while (rep := next(_beats(p, alive), None)) is not None:
+        removed.append(rep)
+        alive ^= 1 << rep.element
+    return removed, alive
 
 
 def core(p: FinitePoset) -> ReductionTrace:
@@ -65,36 +82,24 @@ def core(p: FinitePoset) -> ReductionTrace:
     are reproducible; the final space is independent of the removal order
     up to homeomorphism.
     """
-    kept = list(range(p.n))
-    removed = []
-    current = p
-    while True:
-        reports = beat_points(current)
-        if not reports:
-            break
-        rep = min(reports, key=lambda r: (r.element, r.kind))
-        removed.append(
-            BeatPointReport(kept[rep.element], rep.kind, kept[rep.witness])
-        )
-        del kept[rep.element]
-        current = p.subposet(kept)
-    return ReductionTrace(tuple(removed), tuple(kept), current)
+    removed, alive = _strip(p, (1 << p.n) - 1)
+    kept = tuple(_bits(alive))
+    return ReductionTrace(tuple(removed), kept, p.subposet(kept))
+
+
+def _contractible(p: FinitePoset, alive: int) -> bool:
+    """True iff the subspace of the points in ``alive`` has a one-point core."""
+    return _strip(p, alive)[1].bit_count() == 1
 
 
 def is_contractible(p: FinitePoset) -> bool:
     """True iff the core is a single point."""
-    return core(p).final.n == 1
+    return _contractible(p, (1 << p.n) - 1)
 
 
 def is_homotopy_equivalent(p: FinitePoset, q: FinitePoset) -> bool:
     """True iff the cores are homeomorphic."""
     return core(p).final.is_homeomorphic(core(q).final)
-
-
-def _mask_contractible(p: FinitePoset, mask: int) -> bool:
-    if mask == 0:
-        return False
-    return is_contractible(p.subposet(list(_bits(mask))))
 
 
 def _quotient(p: FinitePoset, mask: int) -> FinitePoset:
@@ -129,7 +134,7 @@ def osaki_open_reduction(p: FinitePoset, x: int) -> FinitePoset | None:
     u = p.down[x]
     for y in range(p.n):
         inter = u & p.down[y]
-        if inter and not _mask_contractible(p, inter):
+        if inter and not _contractible(p, inter):
             return None
     return _quotient(p, u)
 
@@ -171,7 +176,7 @@ def mccord_check(src: FinitePoset, dst: FinitePoset, mapping) -> McCordReport:
     entries = []
     for y in range(dst.n):
         pre = tuple(s for s in range(src.n) if dst.leq(f[s], y))
-        good = bool(pre) and is_contractible(src.subposet(pre))
+        good = bool(pre) and _contractible(src, sum(1 << s for s in pre))
         entries.append((y, pre, good))
     return McCordReport(all(e[2] for e in entries), tuple(entries))
 
@@ -186,29 +191,18 @@ def remove_point(p: FinitePoset, x: int) -> FinitePoset:
 def flatten_to_height2(p: FinitePoset, x0: int) -> tuple[FinitePoset, tuple[int, ...]]:
     """Shrink to a connected subspace of height at most two containing x0.
 
-    Repeatedly removes the smallest non-extremal point other than the
-    basepoint; each removal keeps the space connected and can only enlarge
-    the fundamental group.  If the basepoint itself ends up as the only
-    non-extremal point the target height is unreachable without dropping
-    it, which raises FlattenBlockedError (pick an extremal basepoint).
+    Removes the non-extremal points one at a time; each removal keeps the
+    space connected and can only enlarge the fundamental group.  Minimal
+    and maximal points are never removed, so a point has points strictly
+    above and below it at every step iff it has them in p, and the points
+    kept are the extremal ones.  A non-extremal basepoint would be the
+    last non-extremal point left, which raises FlattenBlockedError (pick an
+    extremal basepoint).
     """
     if not p.is_connected():
         raise NotConnectedError("flattening requires a connected space")
-    kept = list(range(p.n))
-    current = p
-    while current.height > 2:
-        candidates = [
-            v
-            for v in range(current.n)
-            if kept[v] != x0
-            and current.up[v] != 1 << v
-            and current.down[v] != 1 << v
-        ]
-        if not candidates:
-            raise FlattenBlockedError(
-                "basepoint is the only non-extremal point left"
-            )
-        v = candidates[0]
-        del kept[v]
-        current = p.subposet(kept)
-    return current, tuple(kept)
+    inner = {v for v in range(p.n) if p.up[v] != 1 << v and p.down[v] != 1 << v}
+    if x0 in inner:
+        raise FlattenBlockedError("basepoint is the only non-extremal point left")
+    kept = tuple(v for v in range(p.n) if v not in inner)
+    return p.subposet(kept), kept

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form and row-space membership.
+"""Exact integer linear algebra: Smith normal form and matrix rank.
 
 Entries are Python ints, so they never overflow.  Boundary matrices of
 order complexes are sparse and nearly all their entries are +-1, so
@@ -168,50 +168,3 @@ def eliminate_unit_pivots(columns: list[dict[int, int]]) -> tuple[int, list[list
 
 def matrix_rank(matrix: list[list[int]]) -> int:
     return len(smith_invariant_factors(matrix))
-
-
-class IntRowSpan:
-    """Mutable row-echelon basis of a sublattice of Z^n.
-
-    Supports adding vectors and exact membership tests; used to decide
-    whether two abelianized words differ by a relator combination.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivot_row: dict[int, list[int]] = {}
-
-    def add(self, vec) -> None:
-        vec = list(vec)
-        for j in range(self.width):
-            if vec[j] == 0:
-                continue
-            row = self.pivot_row.get(j)
-            if row is None:
-                self.pivot_row[j] = vec
-                return
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(j, self.width):
-                    vec[k] -= q * row[k]
-            else:
-                x, y, g = xgcd(a, b)
-                p, q = a // g, b // g
-                for k in range(j, self.width):
-                    u, v = row[k], vec[k]
-                    row[k] = x * u + y * v
-                    vec[k] = -q * u + p * v
-
-    def __contains__(self, vec) -> bool:
-        vec = list(vec)
-        for j in range(self.width):
-            if vec[j] == 0:
-                continue
-            row = self.pivot_row.get(j)
-            if row is None or vec[j] % row[j]:
-                return False
-            q = vec[j] // row[j]
-            for k in range(j, self.width):
-                vec[k] -= q * row[k]
-        return True

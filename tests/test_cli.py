@@ -183,6 +183,29 @@ def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):
     assert err == "error: basepoint 'z' is not a point\n"
 
 
+def test_bad_height_filter_is_named(capsys):
+    for spec in ("height=x", "height="):
+        code, out, err = run(capsys, "enumerate", "3", "--filter", spec)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--filter height=H" in err
+        assert "whole number" in err and "invalid literal" not in err
+
+
+def test_info_on_long_chain_and_cone(capsys, tmp_path):
+    # the chain has 2^40 - 1 chains; b0 and b1 come from its one-point core
+    n = 40
+    chain = [(x, x + 1) for x in range(n - 1)]
+    fence = [(x, x + 1) if x % 2 == 0 else (x + 1, x) for x in range(n - 2)]
+    cone = fence + [(x, n - 1) for x in range(n - 1) if x % 2 == 1 or x == n - 2]
+    for name, pairs in (("chain", chain), ("cone", cone)):
+        path = tmp_path / f"{name}.poset"
+        path.write_text("".join(f"p{x} < p{y}\n" for x, y in pairs))
+        code, out, _ = run(capsys, "info", "--json", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert (data["points"], data["b0"], data["b1"]) == (n, 1, 0)
+
+
 def test_installed_pipeline(cli_env):
     """Runs the console-script entry point ``finito.cli:main`` through ``-m``."""
     finito = [sys.executable, "-m", "finito"]

@@ -17,12 +17,12 @@ from finito import (
 from finito.models import enumerate_posets
 from finito.order_complex import boundary_matrix
 from finito.snf import (
-    IntRowSpan,
     eliminate_unit_pivots,
     matrix_rank,
     smith_invariant_factors,
     xgcd,
 )
+from int_row_span import IntRowSpan
 
 
 def sparse_columns(matrix):
@@ -74,6 +74,16 @@ def test_complex_equals_complex_of_opposite():
     for k in range(1, 6):
         for p in enumerate_posets(k):
             assert order_complex(p) == order_complex(p.opposite())
+
+
+def test_order_complex_passes_the_full_check():
+    """Order complexes skip the face checks; rebuilding each through the
+    checking constructor must give the same complex."""
+    for k in range(1, 7):
+        for p in enumerate_posets(k):
+            k_p = order_complex(p)
+            rebuilt = SimplicialComplex(p.n, k_p.faces)
+            assert rebuilt == k_p and rebuilt.dim == k_p.dim == p.height - 1
 
 
 def test_complex_validation():

@@ -24,8 +24,14 @@ from finito import (
     tietze_simplify,
 )
 from finito.models import bipartite_model, enumerate_posets
-from finito.pi1 import abelianized, free_reduce
-from finito.snf import IntRowSpan
+from finito.pi1 import (
+    _edge_letter,
+    abelianized,
+    comparability_edges,
+    free_reduce,
+    invert_word,
+)
+from int_row_span import IntRowSpan
 
 
 def cover_steps(p, x):
@@ -173,6 +179,42 @@ def test_presentation_disconnected_raises():
         edge_path_presentation(FinitePoset.antichain(2), 0)
     with pytest.raises(NotConnectedError):
         first_betti(FinitePoset.antichain(2))
+
+
+def chain_filter_presentation(p, x0):
+    """Reference: relators from the three-point chains among all chains."""
+    tree = spanning_tree(p, x0)
+    gens = [e for e in comparability_edges(p) if e not in tree]
+    gen_index = {e: i + 1 for i, e in enumerate(gens)}
+    relators = []
+    for x, y, z in (c for c in p.chains() if len(c) == 3):
+        word = free_reduce(
+            _edge_letter(p, tree, gen_index, x, y)
+            + _edge_letter(p, tree, gen_index, y, z)
+            + invert_word(_edge_letter(p, tree, gen_index, x, z))
+        )
+        if word:
+            relators.append(word)
+    return GroupPresentation(len(gens), tuple(relators))
+
+
+def test_presentation_matches_chain_filter():
+    for k in range(1, 7):
+        for p in enumerate_posets(k):
+            if not p.is_connected():
+                continue
+            for x0 in range(p.n):
+                pres = edge_path_presentation(p, x0)
+                ref = chain_filter_presentation(p, x0)
+                assert pres == ref
+                assert presentation_text(pres) == presentation_text(ref)
+
+
+def test_presentation_of_long_chain():
+    # 2^30 - 1 chains, of which 4060 have three points
+    pres = edge_path_presentation(FinitePoset.chain(30), 0)
+    assert pres.generators == 30 * 29 // 2 - 29
+    assert 0 < len(pres.relators) <= 4060
 
 
 def test_contractible_presentations_trivialize():

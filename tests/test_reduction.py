@@ -21,7 +21,8 @@ from finito import (
     remove_point,
 )
 from finito.models import enumerate_posets
-from finito.reduction import BeatPointReport
+from finito.poset import _bits
+from finito.reduction import BeatPointReport, ReductionTrace, _quotient
 
 
 def b1(p):
@@ -261,3 +262,143 @@ def test_flatten_seven_point_height3_classes():
         assert b1(flat) >= b1(p)
         checked += 1
     assert checked > 100
+
+
+# -- reference: one induced FinitePoset per removal step ------------------------
+
+
+def ref_beat_points(p):
+    out = []
+    for x in range(p.n):
+        down = p.down[x] & ~(1 << x)
+        for y in _bits(down):
+            if not down & ~p.down[y]:
+                out.append(BeatPointReport(x, "down", y))
+                break
+        up = p.up[x] & ~(1 << x)
+        for y in _bits(up):
+            if not up & ~p.up[y]:
+                out.append(BeatPointReport(x, "up", y))
+                break
+    return out
+
+
+def ref_core(p):
+    kept = list(range(p.n))
+    removed = []
+    current = p
+    while True:
+        reports = ref_beat_points(current)
+        if not reports:
+            break
+        rep = min(reports, key=lambda r: (r.element, r.kind))
+        removed.append(BeatPointReport(kept[rep.element], rep.kind, kept[rep.witness]))
+        del kept[rep.element]
+        current = p.subposet(kept)
+    return ReductionTrace(tuple(removed), tuple(kept), current)
+
+
+def ref_contractible(p, mask):
+    return bool(mask) and ref_core(p.subposet(list(_bits(mask)))).final.n == 1
+
+
+def ref_osaki_open(p, x):
+    u = p.down[x]
+    for y in range(p.n):
+        inter = u & p.down[y]
+        if inter and not ref_contractible(p, inter):
+            return None
+    return _quotient(p, u)
+
+
+def ref_osaki_closed(p, x):
+    q = ref_osaki_open(p.opposite(), x)
+    return q.opposite() if q is not None else None
+
+
+def ref_mccord_entries(src, dst, f):
+    entries = []
+    for y in range(dst.n):
+        pre = tuple(s for s in range(src.n) if dst.leq(f[s], y))
+        entries.append((y, pre, ref_contractible(src, sum(1 << s for s in pre))))
+    return tuple(entries)
+
+
+def ref_flatten(p, x0):
+    if not p.is_connected():
+        raise NotConnectedError("flattening requires a connected space")
+    kept = list(range(p.n))
+    current = p
+    while current.height > 2:
+        candidates = [
+            v
+            for v in range(current.n)
+            if kept[v] != x0
+            and current.up[v] != 1 << v
+            and current.down[v] != 1 << v
+        ]
+        if not candidates:
+            raise FlattenBlockedError("basepoint is the only non-extremal point left")
+        del kept[candidates[0]]
+        current = p.subposet(kept)
+    return current, tuple(kept)
+
+
+def outcome(fn, *args):
+    """A result as comparable data: the order rows and labels of a space,
+    or the type of the error raised."""
+    try:
+        result = fn(*args)
+    except (FlattenBlockedError, NotConnectedError) as exc:
+        return type(exc)
+    if isinstance(result, tuple):
+        space, kept = result
+        return space.up, space.labels, kept
+    return None if result is None else (result.up, result.labels)
+
+
+def random_monotone_map(p, rng):
+    """A random order-preserving self-map of p: points are visited by
+    down-set size and each goes to a common upper bound of the images of
+    the points below it; after twenty dead ends, the identity."""
+    order = sorted(range(p.n), key=lambda x: p.down[x].bit_count())
+    for _ in range(20):
+        f = [None] * p.n
+        for x in order:
+            allowed = (1 << p.n) - 1
+            for w in _bits(p.down[x] & ~(1 << x)):
+                allowed &= p.up[f[w]]
+            if not allowed:
+                break
+            f[x] = rng.choice(list(_bits(allowed)))
+        else:
+            return f
+    return list(range(p.n))
+
+
+def test_mask_reductions_match_per_step_reference():
+    rng = random.Random(5)
+    for k in range(1, 8):
+        for p in enumerate_posets(k):
+            p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
+            ref = ref_core(p)
+            trace = core(p)
+            assert (trace.removed, trace.kept) == (ref.removed, ref.kept)
+            assert trace.final.up == ref.final.up
+            assert beat_points(p) == ref_beat_points(p)
+            assert is_contractible(p) == (ref.final.n == 1)
+            for x in range(p.n):
+                assert outcome(osaki_open_reduction, p, x) == outcome(ref_osaki_open, p, x)
+                assert outcome(osaki_closed_reduction, p, x) == outcome(ref_osaki_closed, p, x)
+                assert outcome(flatten_to_height2, p, x) == outcome(ref_flatten, p, x)
+            for f in (list(range(p.n)), random_monotone_map(p, rng)):
+                assert mccord_check(p, p, f).entries == ref_mccord_entries(p, p, f)
+
+
+def test_core_of_long_chain_and_cone():
+    n = 160
+    fence = [(x, x + 1) if x % 2 == 0 else (x + 1, x) for x in range(n - 2)]
+    apex = [(x, n - 1) for x in range(n - 1) if x % 2 == 1 or x == n - 2]
+    for p in (FinitePoset.chain(n), FinitePoset.from_cover_pairs(n, fence + apex)):
+        trace = core(p)
+        assert len(trace.removed) == n - 1 and trace.final.n == 1
