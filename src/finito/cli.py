@@ -19,9 +19,9 @@ from . import __version__
 from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
+    _wedge_models,
     check_wedge_model,
     enumerate_posets,
-    enumerate_wedge_minimal_models,
     enumeration_stats,
     is_square,
     minimal_wedge_size,
@@ -290,8 +290,8 @@ def cmd_verify_spheres(args) -> int:
 def cmd_verify_wedges(args) -> int:
     rows = []
     failures = []
-    for n in range(1, args.max_n + 1):
-        models = enumerate_wedge_minimal_models(n, max_points=args.max_points)
+    found = _wedge_models(range(1, args.max_n + 1), args.max_points)
+    for n, models in found.items():
         count = len(models)
         size = minimal_wedge_size(n)
         square = is_square(n)

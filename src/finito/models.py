@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -171,57 +172,63 @@ def _poset_from_code(code: bytes) -> FinitePoset:
     return p
 
 
-def _ideal_masks(rows: tuple[int, ...]) -> list[int]:
-    """All down-closed subsets of the poset, as bitmasks (0 and full included)."""
-    n = len(rows)
-    strict_down = [0] * n
+def _children_codes(code: bytes) -> list[bytes]:
+    """Canonical codes of the classes whose canonical parent is this class.
+
+    A child adds one maximal point t above an ideal (down-set) of the
+    parent's canonical rows; its canonical parent is the child minus the
+    point its canonical labelling puts last.  That point is maximal with the
+    largest key (level, |down|), so a child where t has a smaller key than
+    the parent's largest is rejected before any labelling, one where t has
+    a larger key is accepted, and on a tie the child is accepted if its
+    labelling ends at t or deleting its last point gives back this class.
+    Each class thus comes from exactly one parent class; isomorphic
+    children of this parent are merged here.
+    """
+    parent = _poset_from_code(code)
+    rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
+    best = max(zip(levels, (d.bit_count() for d in down)))
+    # canonical rows are a linear extension: a point may join an ideal once
+    # its strict down-set is in, and that set is decided by then
+    ideals = [(0, 0)]  # (mask, highest level in it)
     for x in range(n):
-        for j in range(n):
-            if x != j and (rows[j] >> x) & 1:
-                strict_down[x] |= 1 << j
-    out = []
-    for mask in range(1 << n):
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            if strict_down[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _children_codes(code: bytes) -> set[bytes]:
-    """Canonical codes of all one-point maximal extensions of a class."""
-    rows = _rows_from_code(code)
-    n = len(rows)
+        below = down[x] ^ (1 << x)
+        ideals += [(m | 1 << x, max(h, levels[x])) for m, h in ideals if not below & ~m]
     top = 1 << n
-    out = set()
-    for ideal in _ideal_masks(rows):
-        child = tuple(
-            row | (top if (ideal >> x) & 1 else 0) for x, row in enumerate(rows)
-        ) + (top,)
-        out.add(FinitePoset._trusted(child).canonical_form().code)
-    return out
-
-
-def _children_batch(codes) -> set[bytes]:
-    out = set()
-    for code in codes:
-        out |= _children_codes(code)
-    return out
+    found: set[bytes] = set()
+    rejected: set[bytes] = set()
+    for ideal, high in ideals:
+        key = (high + 1, ideal.bit_count() + 1)
+        if key < best:
+            continue
+        child = FinitePoset._trusted(
+            tuple(row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows))
+            + (top,)
+        )
+        child.__dict__["down"] = down + (ideal | top,)
+        child.__dict__["levels"] = levels + (key[0],)
+        child_code = child.canonical_form().code
+        if child_code in found or child_code in rejected:
+            continue
+        last = child._canon_last
+        if key > best or last == n or (
+            child.subposet([x for x in range(n + 1) if x != last]).canonical_form().code
+            == code
+        ):
+            found.add(child_code)
+        else:
+            rejected.add(child_code)
+    return list(found)
 
 
 _code_cache: dict[int, tuple[bytes, ...]] = {}
 
 
 def _codes(k: int, workers: int = 1) -> tuple[bytes, ...]:
-    """Sorted canonical codes of all k-point classes, grown one maximal
-    point at a time; duplicate classes vanish because each class has one
-    code, so workers never need to coordinate."""
+    """Sorted canonical codes of all k-point classes, by canonical
+    augmentation: each (k-1)-point class lists the children whose canonical
+    parent it is, so the lists are disjoint and are concatenated with no
+    merge.  With several workers a forked pool splits the parents."""
     if k in _code_cache:
         return _code_cache[k]
     if k == 1:
@@ -230,13 +237,11 @@ def _codes(k: int, workers: int = 1) -> tuple[bytes, ...]:
         parents = _codes(k - 1, workers)
         if workers > 1 and len(parents) >= 32:
             ctx = multiprocessing.get_context("fork")
-            chunks = [parents[i::workers] for i in range(workers)]
             with ctx.Pool(workers) as pool:
-                parts = pool.map(_children_batch, chunks)
-            found = set().union(*parts)
+                parts = pool.map(_children_codes, parents)
         else:
-            found = _children_batch(parents)
-        result = tuple(sorted(found))
+            parts = map(_children_codes, parents)
+        result = tuple(sorted(chain.from_iterable(parts)))
     _code_cache[k] = result
     return result
 
@@ -343,24 +348,38 @@ def verify_sphere_theorem(h: int, *, max_points: int | None = None) -> SphereThe
     return report
 
 
+def _wedge_models(ns: range, max_points: int | None) -> dict[int, list[FinitePoset]]:
+    """Minimal-model classes of the n-circle wedge for each n in ns.
+
+    Each size is screened once: a class of height 2 with c covers can only
+    be a model for n = c - size + 1, and is one if that n is asked for,
+    has this minimal size and passes ``check_wedge_model``.  Models keep
+    enumeration order; the cap error names the first n beyond the cap.
+    """
+    sizes = {}
+    for n in ns:
+        sizes[n] = size = minimal_wedge_size(n)
+        cap = resolve_cap(max_points)
+        if size > cap:
+            raise CapExceededError(
+                f"minimal models of an n={n} wedge have {size} points, beyond cap {cap}"
+            )
+    found: dict[int, list[FinitePoset]] = {n: [] for n in ns}
+    for size in sorted(set(sizes.values())):
+        for p in enumerate_posets(size, max_points=max_points):
+            if p.height != 2:
+                continue
+            n = p.cover_count - size + 1
+            if sizes.get(n) == size and check_wedge_model(p, n).all_satisfied:
+                found[n].append(p)
+    return found
+
+
 def enumerate_wedge_minimal_models(
     n: int, *, max_points: int | None = None
 ) -> list[FinitePoset]:
     """All classes satisfying the three wedge-model conditions for n circles."""
-    size = minimal_wedge_size(n)
-    cap = resolve_cap(max_points)
-    if size > cap:
-        raise CapExceededError(
-            f"minimal models of an n={n} wedge have {size} points, beyond cap {cap}"
-        )
-    out = []
-    for p in enumerate_posets(size, max_points=max_points):
-        # cheap screens first; the certificate recomputes them with b1
-        if p.height != 2 or p.cover_count != size + n - 1:
-            continue
-        if check_wedge_model(p, n).all_satisfied:
-            out.append(p)
-    return out
+    return _wedge_models(range(n, n + 1), max_points)[n]
 
 
 def wedge_uniqueness_scan(
@@ -368,10 +387,8 @@ def wedge_uniqueness_scan(
 ) -> list[tuple[int, int]]:
     """(n, number of minimal-model classes) for n = 1..max_n; the count is
     1 exactly when n is a perfect square."""
-    return [
-        (n, len(enumerate_wedge_minimal_models(n, max_points=max_points)))
-        for n in range(1, max_n + 1)
-    ]
+    found = _wedge_models(range(1, max_n + 1), max_points)
+    return [(n, len(models)) for n, models in found.items()]
 
 
 def is_square(n: int) -> bool:

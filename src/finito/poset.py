@@ -319,13 +319,16 @@ class FinitePoset:
         strictly-upper-triangular bits are encoded.
         """
         if self._canon is None:
-            enc = _canonical_encoding(self)
+            enc, self._canon_last = _canonical_encoding(self)
             nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
             code = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
             self._canon = CanonicalForm(code)
         return self._canon
 
     _canon: CanonicalForm | None = None
+    # Point placed last by the labelling that gave ``_canon``: a maximal
+    # point with the largest (level, down-set size).  None while unknown.
+    _canon_last: int | None = None
 
     def is_homeomorphic(self, other: "FinitePoset") -> bool:
         """Order isomorphism, i.e. homeomorphism of the T0 spaces."""
@@ -399,14 +402,21 @@ def _twin_cell(up, down, cell):
     return True
 
 
-def _canonical_encoding(p: FinitePoset) -> int:
+def _canonical_encoding(p: FinitePoset) -> tuple[int, int]:
+    """Least encoding over the labellings the search reaches, and the point
+    that labelling puts last.
+
+    Initial cells are sorted by (level, |down|, |up|) and ``_refine`` splits
+    cells in place, so the last point always comes from the last initial
+    cell: a maximal point with the largest (level, |down|).
+    """
     up, down, n = p.up, p.down, p.n
     initial = {}
     for v in range(n):
         key = (p.levels[v], down[v].bit_count(), up[v].bit_count())
         initial.setdefault(key, []).append(v)
     cells = _refine(up, down, [initial[k] for k in sorted(initial)])
-    best: list[int | None] = [None]
+    best: list = [None, None]
 
     def encode(order):
         enc = 0
@@ -421,9 +431,10 @@ def _canonical_encoding(p: FinitePoset) -> int:
             if len(cell) > 1:
                 break
         else:
-            enc = encode([c[0] for c in cells])
+            order = [c[0] for c in cells]
+            enc = encode(order)
             if best[0] is None or enc < best[0]:
-                best[0] = enc
+                best[:] = enc, order[-1]
             return
         if _twin_cell(up, down, cell):
             split = cells[:idx] + [[v] for v in cell] + cells[idx + 1 :]
@@ -435,4 +446,4 @@ def _canonical_encoding(p: FinitePoset) -> int:
             search(_refine(up, down, split))
 
     search(cells)
-    return best[0]
+    return tuple(best)

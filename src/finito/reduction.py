@@ -197,8 +197,10 @@ def flatten_to_height2(p: FinitePoset, x0: int) -> tuple[FinitePoset, tuple[int,
     above and below it at every step iff it has them in p, and the points
     kept are the extremal ones.  A non-extremal basepoint would be the
     last non-extremal point left, which raises FlattenBlockedError (pick an
-    extremal basepoint).
+    extremal basepoint).  A basepoint that is not a point raises IndexError.
     """
+    if not 0 <= x0 < p.n:
+        raise IndexError(f"point {x0} out of range for n={p.n}")
     if not p.is_connected():
         raise NotConnectedError("flattening requires a connected space")
     inner = {v for v in range(p.n) if p.up[v] != 1 << v and p.down[v] != 1 << v}

@@ -1,6 +1,10 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
+
+from extension_oracle import oracle_codes
 
 from finito import (
     CapExceededError,
@@ -20,7 +24,12 @@ from finito import (
     verify_sphere_theorem,
     wedge_uniqueness_scan,
 )
+from finito import models
 from finito.models import is_square, resolve_cap
+from finito.poset import _canonical_encoding
+
+# OEIS A000112: poset classes with k points, k = 0..10.
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
 
 
 def labeled_poset_count_oracle(k):
@@ -247,3 +256,42 @@ def test_enumeration_reproducible_fresh_and_parallel(fresh_codes):
     again = fresh_codes(6)
     parallel = fresh_codes(6, workers=2)
     assert serial == again == parallel
+
+
+def test_class_counts_match_oeis():
+    counts = [sum(1 for _ in enumerate_posets(k)) for k in range(1, 9)]
+    assert counts == list(A000112[1:9])
+
+
+@pytest.mark.slow
+def test_class_count_nine_points():
+    assert sum(1 for _ in enumerate_posets(9, max_points=9)) == A000112[9]
+
+
+def test_enumeration_matches_extension_oracle():
+    assert oracle_codes(7) == [models._codes(k) for k in range(1, 8)]
+
+
+def test_canonical_last_point_has_the_largest_key():
+    # the cheap rejection of canonical augmentation relies on this
+    rng = random.Random(3)
+    for k in range(1, 8):
+        for p in enumerate_posets(k):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            for q in (FinitePoset._trusted(p.up), p.relabel(perm)):
+                _, last = _canonical_encoding(q)
+                keys = [(q.levels[x], q.down[x].bit_count()) for x in range(k)]
+                assert q.up[last] == 1 << last
+                assert keys[last] == max(keys)
+
+
+def test_each_class_has_one_canonical_parent():
+    for k in range(2, 8):
+        accepted = Counter(
+            child
+            for parent in models._codes(k - 1)
+            for child in models._children_codes(parent)
+        )
+        assert set(accepted) == set(models._codes(k))
+        assert max(accepted.values()) == 1

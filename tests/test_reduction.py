@@ -247,6 +247,13 @@ def test_flatten_examples():
         flatten_to_height2(FinitePoset.chain(3), 1)
 
 
+def test_flatten_rejects_a_basepoint_out_of_range():
+    p = FinitePoset.chain(3)
+    for x0 in (-1, p.n):
+        with pytest.raises(IndexError, match=f"point {x0} out of range for n=3"):
+            flatten_to_height2(p, x0)
+
+
 def test_flatten_seven_point_height3_classes():
     # every connected 7-point class of height 3 flattens (from a minimal
     # basepoint) to height <= 2 without losing rank
