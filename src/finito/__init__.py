@@ -48,6 +48,7 @@ from .order_complex import (
     faces_text,
     homology,
     order_complex,
+    poset_homology,
 )
 from .pi1 import (
     GroupPresentation,

@@ -19,16 +19,16 @@ from . import __version__
 from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
-    _wedge_models,
     check_wedge_model,
     enumerate_posets,
+    enumerate_wedge_minimal_models,
     enumeration_stats,
     is_square,
     minimal_wedge_size,
     sphere_model,
     verify_sphere_theorem,
 )
-from .order_complex import euler_characteristic, homology, order_complex
+from .order_complex import euler_characteristic, poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
 from .reduction import (
     beat_points,
@@ -73,8 +73,7 @@ def _emit_json(obj) -> int:
 def cmd_info(args) -> int:
     p, _ = _load(args.file)
     bps = beat_points(p)
-    # homology is a homotopy invariant, and the core's complex is the smaller
-    betti = homology(order_complex(core(p).final)).betti
+    betti = poset_homology(p).betti
     data = {
         "points": p.n,
         "height": p.height,
@@ -131,7 +130,7 @@ def cmd_core(args) -> int:
 
 def cmd_homology(args) -> int:
     p, _ = _load(args.file)
-    h = homology(order_complex(p))
+    h = poset_homology(p)
     if args.json:
         return _emit_json(
             {"betti": list(h.betti), "torsion": [list(t) for t in h.torsion]}
@@ -288,10 +287,12 @@ def cmd_verify_spheres(args) -> int:
 
 
 def cmd_verify_wedges(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     rows = []
     failures = []
-    found = _wedge_models(range(1, args.max_n + 1), args.max_points)
-    for n, models in found.items():
+    for n in range(1, args.max_n + 1):
+        models = enumerate_wedge_minimal_models(n)
         count = len(models)
         size = minimal_wedge_size(n)
         square = is_square(n)
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vsub.add_parser("wedges", help="minimal models of circle wedges")
     sp.set_defaults(handler=cmd_verify_wedges)
     sp.add_argument("--max-n", type=int, required=True)
-    sp.add_argument("--max-points", type=int, default=None)
     sp.add_argument("--json", action="store_true")
 
     sp = add("enumerate", cmd_enumerate, "poset classes with k points")

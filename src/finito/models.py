@@ -1,11 +1,11 @@
 """Model constructions and exhaustive verification at desk scale.
 
 Builds the standard small models (non-Hausdorff suspensions, sphere
-models, complete bipartite models of circle wedges), decides the
-minimal-model conditions for wedges of circles, and enumerates all poset
-isomorphism classes up to a configurable cap to machine-check the sphere
-and wedge theorems on every space the cap reaches.  Reports state their
-scope: nothing is claimed beyond the enumerated sizes.
+models, complete bipartite models of circle wedges), generates every
+minimal model of a wedge of circles, and enumerates all poset isomorphism
+classes up to a configurable cap to machine-check the sphere theorem on
+every space the cap reaches.  Reports state their scope: nothing is
+claimed beyond the sizes scanned.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -221,29 +221,30 @@ def _children_codes(code: bytes) -> list[bytes]:
     return list(found)
 
 
-_code_cache: dict[int, tuple[bytes, ...]] = {}
-
-
-def _codes(k: int, workers: int = 1) -> tuple[bytes, ...]:
-    """Sorted canonical codes of all k-point classes, by canonical
-    augmentation: each (k-1)-point class lists the children whose canonical
-    parent it is, so the lists are disjoint and are concatenated with no
-    merge.  With several workers a forked pool splits the parents."""
-    if k in _code_cache:
-        return _code_cache[k]
-    if k == 1:
-        result = (FinitePoset((1,)).canonical_form().code,)
-    else:
-        parents = _codes(k - 1, workers)
-        if workers > 1 and len(parents) >= 32:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_children_codes, parents)
+def _levels(
+    k: int, workers: int = 1, max_points: int | None = None
+) -> Iterator[tuple[bytes, ...]]:
+    """Sorted canonical codes of the classes with 1, 2, ..., k points, level
+    by level, keeping only the last; k beyond the cap raises before any work.
+    Each class lists the children whose canonical parent it is, so the lists
+    are disjoint and are concatenated with no merge.  With several workers a
+    forked pool splits the parents of each level."""
+    cap = resolve_cap(max_points)
+    if k > cap:
+        raise CapExceededError(
+            f"k={k} exceeds the enumeration cap of {cap} points"
+            f" (raise it explicitly or via {MAX_POINTS_ENV})"
+        )
+    level = (FinitePoset((1,)).canonical_form().code,)
+    yield level
+    for _ in range(1, k):
+        if workers > 1 and len(level) >= 32:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                parts = pool.map(_children_codes, level)
         else:
-            parts = map(_children_codes, parents)
-        result = tuple(sorted(chain.from_iterable(parts)))
-    _code_cache[k] = result
-    return result
+            parts = map(_children_codes, level)
+        level = tuple(sorted(chain.from_iterable(parts)))
+        yield level
 
 
 def enumerate_posets(
@@ -253,16 +254,13 @@ def enumerate_posets(
     workers: int = 1,
 ) -> Iterator[FinitePoset]:
     """One canonically labeled representative per isomorphism class of
-    k-point posets, in canonical-form order."""
+    k-point posets, in canonical-form order.  Each call builds the levels
+    1..k afresh; nothing is kept between calls."""
     if k < 1:
         raise ValueError("k must be positive")
-    cap = resolve_cap(max_points)
-    if k > cap:
-        raise CapExceededError(
-            f"k={k} exceeds the enumeration cap of {cap} points"
-            f" (raise it explicitly or via {MAX_POINTS_ENV})"
-        )
-    for code in _codes(k, workers):
+    for level in _levels(k, workers, max_points):
+        pass
+    for code in level:
         yield _poset_from_code(code)
 
 
@@ -334,61 +332,53 @@ def verify_sphere_theorem(h: int, *, max_points: int | None = None) -> SphereThe
     if h < 2:
         raise ValueError("verification starts at height 2")
     report = SphereTheoremReport(max_height=h, points_scanned=2 * h)
-    for k in range(1, 2 * h + 1):
-        for p in enumerate_posets(k, max_points=max_points):
-            report.classes_scanned += 1
-            if p.n < 2 or beat_points(p):
-                continue
-            if p.n < 2 * p.height:
-                report.lower_bound_violations.append(p)
-            elif p.n == 2 * p.height:
-                report.equality_classes.setdefault(p.height, []).append(p)
-                if not p.is_homeomorphic(sphere_model(p.height - 1)):
-                    report.equality_violations.append(p)
+    for code in chain.from_iterable(_levels(2 * h, max_points=max_points)):
+        p = _poset_from_code(code)
+        report.classes_scanned += 1
+        if p.n < 2 or beat_points(p):
+            continue
+        if p.n < 2 * p.height:
+            report.lower_bound_violations.append(p)
+        elif p.n == 2 * p.height:
+            report.equality_classes.setdefault(p.height, []).append(p)
+            if not p.is_homeomorphic(sphere_model(p.height - 1)):
+                report.equality_violations.append(p)
     return report
 
 
-def _wedge_models(ns: range, max_points: int | None) -> dict[int, list[FinitePoset]]:
-    """Minimal-model classes of the n-circle wedge for each n in ns.
+def enumerate_wedge_minimal_models(n: int) -> list[FinitePoset]:
+    """All classes satisfying the three wedge-model conditions for n circles,
+    as canonical representatives in code order, the order of enumeration.
 
-    Each size is screened once: a class of height 2 with c covers can only
-    be a model for n = c - size + 1, and is one if that n is asked for,
-    has this minimal size and passes ``check_wedge_model``.  Models keep
-    enumeration order; the cap error names the first n beyond the cap.
+    A model has ``minimal_wedge_size(n)`` points, height 2 and size + n - 1
+    covers (Barmak & Minian): with j minimal points under i maximal ones it
+    is K_{i,j} less (i-1)(j-1) - n edges.  No point is isolated, or the
+    other size - 1 points would carry those covers, against the minimality
+    of size.  Every such edge set is tried and merged by canonical code.
     """
-    sizes = {}
-    for n in ns:
-        sizes[n] = size = minimal_wedge_size(n)
-        cap = resolve_cap(max_points)
-        if size > cap:
-            raise CapExceededError(
-                f"minimal models of an n={n} wedge have {size} points, beyond cap {cap}"
-            )
-    found: dict[int, list[FinitePoset]] = {n: [] for n in ns}
-    for size in sorted(set(sizes.values())):
-        for p in enumerate_posets(size, max_points=max_points):
-            if p.height != 2:
-                continue
-            n = p.cover_count - size + 1
-            if sizes.get(n) == size and check_wedge_model(p, n).all_satisfied:
-                found[n].append(p)
-    return found
+    size = minimal_wedge_size(n)
+    codes = set()
+    for j in range(1, size):
+        spare = (size - j - 1) * (j - 1) - n
+        if spare < 0:
+            continue
+        tops = (1 << size) - (1 << j)
+        edges = [(b, 1 << t) for b in range(j) for t in range(j, size)]
+        for missing in combinations(edges, spare):
+            rows = [1 << b | tops for b in range(j)] + [1 << t for t in range(j, size)]
+            for b, bit in missing:
+                rows[b] ^= bit
+            codes.add(FinitePoset._trusted(tuple(rows)).canonical_form().code)
+    models = map(_poset_from_code, sorted(codes))
+    return [p for p in models if check_wedge_model(p, n).all_satisfied]
 
 
-def enumerate_wedge_minimal_models(
-    n: int, *, max_points: int | None = None
-) -> list[FinitePoset]:
-    """All classes satisfying the three wedge-model conditions for n circles."""
-    return _wedge_models(range(n, n + 1), max_points)[n]
-
-
-def wedge_uniqueness_scan(
-    max_n: int, *, max_points: int | None = None
-) -> list[tuple[int, int]]:
+def wedge_uniqueness_scan(max_n: int) -> list[tuple[int, int]]:
     """(n, number of minimal-model classes) for n = 1..max_n; the count is
     1 exactly when n is a perfect square."""
-    found = _wedge_models(range(1, max_n + 1), max_points)
-    return [(n, len(models)) for n, models in found.items()]
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    return [(n, len(enumerate_wedge_minimal_models(n))) for n in range(1, max_n + 1)]
 
 
 def is_square(n: int) -> bool:

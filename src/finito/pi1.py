@@ -303,12 +303,7 @@ def first_betti(p: FinitePoset) -> int:
     pres = edge_path_presentation(p, 0)
     if not pres.relators:
         return pres.generators
-    matrix = []
-    for rel in pres.relators:
-        row = [0] * pres.generators
-        for letter in rel:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        matrix.append(row)
+    matrix = [abelianized(rel, pres.generators) for rel in pres.relators]
     return pres.generators - matrix_rank(matrix)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import finito
-from finito import FinitePoset, enumerate_posets, models
+from finito import FinitePoset
 
 
 @pytest.fixture
@@ -23,22 +23,6 @@ def cli_env():
         path.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(path)
     return env
-
-
-@pytest.fixture
-def fresh_codes():
-    """``fresh_codes(k, workers=1)`` lists the canonical codes of the k-point
-    classes, enumerated from scratch: the class cache is emptied before each
-    call and restored when the test ends."""
-    saved = dict(models._code_cache)
-
-    def codes(k, workers=1):
-        models._code_cache.clear()
-        return [p.canonical_form().code for p in enumerate_posets(k, workers=workers)]
-
-    yield codes
-    models._code_cache.clear()
-    models._code_cache.update(saved)
 
 
 @pytest.fixture

@@ -169,6 +169,23 @@ def test_workers_below_one_is_an_input_error(capsys):
     assert err.count("\n") == 1 and "--workers" in err
 
 
+def test_empty_wedge_scan_is_an_input_error(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "wedges", "--max-n", bad, "--json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--max-n" in err
+
+
+def test_wedge_scan_past_the_enumeration_cap(capsys):
+    code, out, _ = run(capsys, "verify", "wedges", "--max-n", "16", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["confirmed"] is True
+    assert [r["models"] for r in data["rows"]] == [
+        1, 2, 3, 1, 2, 2, 5, 3, 1, 8, 2, 2, 12, 5, 3, 1,
+    ]
+
+
 def test_bad_max_points_variable_is_named(capsys, monkeypatch):
     monkeypatch.setenv("FINITO_MAX_POINTS", "abc")
     code, out, err = run(capsys, "enumerate", "3")
@@ -204,6 +221,16 @@ def test_info_on_long_chain_and_cone(capsys, tmp_path):
         assert code == 0
         data = json.loads(out)
         assert (data["points"], data["b0"], data["b1"]) == (n, 1, 0)
+
+
+def test_homology_of_long_chain(capsys, tmp_path):
+    # 2^40 - 1 chains; the complex of its one-point core stands in for them
+    n = 40
+    path = tmp_path / "chain.poset"
+    path.write_text("".join(f"p{x} < p{x + 1}\n" for x in range(n - 1)))
+    code, out, _ = run(capsys, "homology", "--json", str(path))
+    assert code == 0
+    assert json.loads(out) == {"betti": [1] + [0] * (n - 1), "torsion": [[]] * n}
 
 
 def test_installed_pipeline(cli_env):

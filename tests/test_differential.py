@@ -10,6 +10,7 @@ from finito import (
     first_betti,
     homology,
     order_complex,
+    poset_homology,
 )
 
 
@@ -41,6 +42,7 @@ def test_random_posets_agree_across_invariants():
         assert h.betti[0] == len(p.connected_components())
         retract = homology(order_complex(core(p).final))
         assert nonzero_homology(retract) == nonzero_homology(h)
+        assert poset_homology(p) == h
         if p.is_connected():
             assert first_betti(p) == (h.betti[1] if len(h.betti) > 1 else 0)
         q = p.relabel(perm)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from extension_oracle import oracle_codes
+from wedge_oracle import wedge_models_by_enumeration
 
 from finito import (
     CapExceededError,
@@ -30,6 +31,16 @@ from finito.poset import _canonical_encoding
 
 # OEIS A000112: poset classes with k points, k = 0..10.
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
+
+# Minimal-model classes of the n-circle wedge, n = 1..16.
+WEDGE_COUNTS = (1, 2, 3, 1, 2, 2, 5, 3, 1, 8, 2, 2, 12, 5, 3, 1)
+
+
+def assert_wedge_models_match_oracle(ns):
+    found = wedge_models_by_enumeration(ns)
+    for n in ns:
+        codes = [p.canonical_form().code for p in enumerate_wedge_minimal_models(n)]
+        assert codes == [p.canonical_form().code for p in found[n]]
 
 
 def labeled_poset_count_oracle(k):
@@ -244,17 +255,39 @@ def test_wedge_uniqueness_scan():
         assert (count == 1) == is_square(n)
 
 
+def test_wedge_uniqueness_scan_needs_a_wedge():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_n"):
+            wedge_uniqueness_scan(bad)
+
+
+def test_wedge_model_counts_past_the_cap():
+    scan = wedge_uniqueness_scan(16)
+    assert scan == list(zip(range(1, 17), WEDGE_COUNTS))
+    assert [n for n, count in scan if count == 1] == [1, 4, 9, 16]
+
+
+def test_wedge_generator_matches_enumeration_oracle():
+    assert_wedge_models_match_oracle(range(1, 10))
+
+
+@pytest.mark.slow
+def test_wedge_generator_matches_enumeration_oracle_nine_points():
+    assert_wedge_models_match_oracle(range(10, 13))
+
+
 def test_wedge_models_closed_under_opposite_up_to_cap():
-    for n in range(1, 10):
+    for n in range(1, 17):
         models = enumerate_wedge_minimal_models(n)
         codes = {m.canonical_form().code for m in models}
         assert {m.opposite().canonical_form().code for m in models} == codes
 
 
-def test_enumeration_reproducible_fresh_and_parallel(fresh_codes):
-    serial = fresh_codes(6)
-    again = fresh_codes(6)
-    parallel = fresh_codes(6, workers=2)
+def test_enumeration_reproducible_fresh_and_parallel():
+    serial, again, parallel = (
+        [p.canonical_form().code for p in enumerate_posets(6, workers=workers)]
+        for workers in (1, 1, 2)
+    )
     assert serial == again == parallel
 
 
@@ -269,7 +302,7 @@ def test_class_count_nine_points():
 
 
 def test_enumeration_matches_extension_oracle():
-    assert oracle_codes(7) == [models._codes(k) for k in range(1, 8)]
+    assert oracle_codes(7) == list(models._levels(7))
 
 
 def test_canonical_last_point_has_the_largest_key():
@@ -287,11 +320,12 @@ def test_canonical_last_point_has_the_largest_key():
 
 
 def test_each_class_has_one_canonical_parent():
-    for k in range(2, 8):
+    levels = list(models._levels(7))
+    for parents, level in zip(levels, levels[1:]):
         accepted = Counter(
             child
-            for parent in models._codes(k - 1)
+            for parent in parents
             for child in models._children_codes(parent)
         )
-        assert set(accepted) == set(models._codes(k))
+        assert set(accepted) == set(level)
         assert max(accepted.values()) == 1

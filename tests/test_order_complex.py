@@ -12,6 +12,7 @@ from finito import (
     faces_text,
     homology,
     order_complex,
+    poset_homology,
     sphere_model,
 )
 from finito.models import enumerate_posets
@@ -161,7 +162,8 @@ def test_homology_height2_graph_case():
             assert all(t == () for t in h.torsion)
 
 
-def test_homology_projective_plane_torsion():
+def rp2_faces():
+    """Faces of the six-vertex triangulation of the projective plane."""
     triangles = [
         (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 4, 5), (0, 3, 4),
         (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
@@ -170,7 +172,26 @@ def test_homology_projective_plane_torsion():
     for f in triangles:
         for r in range(1, 4):
             faces.update(itertools.combinations(f, r))
-    h = homology(SimplicialComplex(6, faces))
+    return faces
+
+
+def test_homology_projective_plane_torsion():
+    h = homology(SimplicialComplex(6, rp2_faces()))
+    assert h.betti == (1, 0, 0)
+    assert h.torsion == ((), (2,), ())
+
+
+def test_poset_homology_equals_full_homology():
+    for k in range(1, 8):
+        for p in enumerate_posets(k):
+            assert poset_homology(p) == homology(order_complex(p))
+
+
+def test_poset_homology_of_projective_plane_face_poset():
+    # the order complex of the face poset subdivides the triangulation
+    faces = sorted(rp2_faces())
+    up = [sum(1 << j for j, g in enumerate(faces) if set(f) <= set(g)) for f in faces]
+    h = poset_homology(FinitePoset(up))
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())
 
