@@ -11,6 +11,7 @@ installed ``finito`` command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_si
 from .reduction import (
     beat_points,
     core,
+    is_minimal,
     mccord_check,
     osaki_closed_reduction,
     osaki_open_reduction,
@@ -337,7 +339,7 @@ def _parse_filter(spec: str):
     if spec == "connected":
         return lambda p: p.is_connected()
     if spec == "minimal":
-        return lambda p: not beat_points(p)
+        return is_minimal
     if spec.startswith("height="):
         value = spec.split("=", 1)[1]
         try:
@@ -381,6 +383,7 @@ def cmd_enumerate(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finito",
@@ -436,6 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The parser is built once per process, on the first call, and binds the
+    ``cmd_*`` handlers as they stand then; nothing is built at import.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .errors import CapExceededError
 from .order_complex import betti_numbers, euler_characteristic
 from .poset import CanonicalForm, FinitePoset
-from .reduction import beat_points
+from .reduction import is_minimal
 
 DEFAULT_MAX_POINTS = 8
 HARD_MAX_POINTS = 10
@@ -283,7 +283,7 @@ def enumeration_stats(k: int, classes: Iterable[FinitePoset]) -> EnumerationStat
         heights[p.height] = heights.get(p.height, 0) + 1
         if p.is_connected():
             connected += 1
-        if not beat_points(p):
+        if is_minimal(p):
             minimal += 1
     stats.by_filter["connected"] = connected
     stats.by_filter["minimal"] = minimal
@@ -335,7 +335,7 @@ def verify_sphere_theorem(h: int, *, max_points: int | None = None) -> SphereThe
     for code in chain.from_iterable(_levels(2 * h, max_points=max_points)):
         p = _poset_from_code(code)
         report.classes_scanned += 1
-        if p.n < 2 or beat_points(p):
+        if p.n < 2 or not is_minimal(p):
             continue
         if p.n < 2 * p.height:
             report.lower_bound_violations.append(p)

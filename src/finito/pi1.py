@@ -10,7 +10,8 @@ abelian invariants instead.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import IllFormedMoveError, IllFormedPathError, NotConnectedError
@@ -248,49 +249,72 @@ def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
     (this covers length-1 and length-2 defining relators); relators are
     freely and cyclically reduced and duplicates and empties dropped.  The
     isomorphism class of the presented group never changes.
+
+    Elimination order, on which the exact output rests: each step takes the
+    relator that comes first by (length, word), among those with a
+    generator occurring exactly once in them, and eliminates the lowest
+    such generator; the surviving generators are numbered 1.. in their
+    original order, and the relators are listed by (length, word).
     """
-    g = pres.generators
     relators = {cyclic_reduce(r) for r in pres.relators}
     relators.discard(())
-    while True:
-        target = None
-        for rel in sorted(relators, key=lambda r: (len(r), r)):
-            once = sorted(
-                a
-                for a in {abs(l) for l in rel}
-                if sum(1 for l in rel if abs(l) == a) == 1
-            )
-            if once:
-                target = (rel, once[0])
-                break
-        if target is None:
-            break
-        rel, a = target
+    containing = defaultdict(set)  # generator -> live relators it occurs in
+    for r in relators:
+        for letter in r:
+            containing[abs(letter)].add(r)
+
+    def drop(r):
+        relators.discard(r)
+        for letter in r:
+            containing[abs(letter)].discard(r)
+
+    # Generators keep their original numbers until the end; the final
+    # renumbering is monotone, so it preserves every (length, word) order
+    # and every choice of the lowest generator made here.
+    heap = [(len(r), r) for r in relators]
+    heapq.heapify(heap)
+    eliminated = set()
+    while heap:
+        rel = heapq.heappop(heap)[1]
+        if rel not in relators:
+            continue
+        counts = Counter(abs(letter) for letter in rel)
+        once = [a for a, c in counts.items() if c == 1]
+        if not once:
+            # stays so until it is rewritten, and is pushed again then
+            continue
+        a = min(once)
         pos = next(i for i, l in enumerate(rel) if abs(l) == a)
         rot = rel[pos:] + rel[:pos]
         # rot starts with a^s, so a = inverse(rest)^s
         expr = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
-        relators.discard(rel)
-
-        def renumber(letter):
-            s = 1 if letter > 0 else -1
-            v = abs(letter)
-            return s * (v - 1) if v > a else s * v
-
-        new_relators = set()
-        for r in relators:
+        inverse = invert_word(expr)
+        drop(rel)
+        eliminated.add(a)
+        for r in containing.pop(a, ()):
+            drop(r)
             out = []
             for letter in r:
-                if abs(letter) == a:
-                    out.extend(expr if letter > 0 else invert_word(expr))
+                if letter == a:
+                    out.extend(expr)
+                elif letter == -a:
+                    out.extend(inverse)
                 else:
                     out.append(letter)
-            w = cyclic_reduce(tuple(renumber(l) for l in free_reduce(out)))
-            if w:
-                new_relators.add(w)
-        relators = new_relators
-        g -= 1
-    return GroupPresentation(g, tuple(sorted(relators, key=lambda r: (len(r), r))))
+            w = cyclic_reduce(out)
+            if w and w not in relators:
+                relators.add(w)
+                for letter in w:
+                    containing[abs(letter)].add(w)
+                heapq.heappush(heap, (len(w), w))
+    kept = [v for v in range(1, pres.generators + 1) if v not in eliminated]
+    number = {v: i for i, v in enumerate(kept, 1)}
+    renumbered = (
+        tuple(number[l] if l > 0 else -number[-l] for l in r) for r in relators
+    )
+    return GroupPresentation(
+        len(kept), tuple(sorted(renumbered, key=lambda r: (len(r), r)))
+    )
 
 
 def free_rank(pres: GroupPresentation) -> int | None:

@@ -196,7 +196,9 @@ class FinitePoset:
 
     def opposite(self) -> "FinitePoset":
         """Same points with the reversed order; an involution."""
-        return FinitePoset._trusted(self.down, self.labels)
+        q = FinitePoset._trusted(self.down, self.labels)
+        q.down = self.up  # fills the cached property, which has no setter
+        return q
 
     @cached_property
     def levels(self) -> tuple[int, ...]:

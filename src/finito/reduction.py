@@ -66,6 +66,11 @@ def beat_points(p: FinitePoset) -> list[BeatPointReport]:
     return list(_beats(p, (1 << p.n) - 1))
 
 
+def is_minimal(p: FinitePoset) -> bool:
+    """True iff p has no beat point; stops at the first one found."""
+    return next(_beats(p, (1 << p.n) - 1), None) is None
+
+
 def _strip(p: FinitePoset, alive: int) -> tuple[list[BeatPointReport], int]:
     """Remove the first beat point of ``alive`` until none is left."""
     removed = []
@@ -129,14 +134,17 @@ def osaki_open_reduction(p: FinitePoset, x: int) -> FinitePoset | None:
     Checks that every intersection with another minimal open set is empty
     or has a one-point core; contractibility is a decidable sufficient
     stand-in for vanishing homotopy groups at these sizes.  Returns None
-    when the check fails.
+    when the check fails.  A point y comparable to x is skipped: the
+    intersection of U_x and U_y is then U_y or U_x, whose maximum y or x
+    makes it contractible.  Each distinct intersection is checked once.
     """
     u = p.down[x]
-    for y in range(p.n):
-        inter = u & p.down[y]
-        if inter and not _contractible(p, inter):
-            return None
-    return _quotient(p, u)
+    others = ((1 << p.n) - 1) & ~(u | p.up[x])
+    inters = {u & p.down[y] for y in _bits(others)}
+    inters.discard(0)
+    if all(_contractible(p, inter) for inter in inters):
+        return _quotient(p, u)
+    return None
 
 
 def osaki_closed_reduction(p: FinitePoset, x: int) -> FinitePoset | None:

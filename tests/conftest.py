@@ -5,6 +5,9 @@ import pytest
 
 import finito
 from finito import FinitePoset
+from finito.models import _levels, _poset_from_code
+
+CENSUS_POINTS = 8
 
 
 @pytest.fixture
@@ -23,6 +26,28 @@ def cli_env():
         path.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(path)
     return env
+
+
+@pytest.fixture(scope="session")
+def classes_upto():
+    """``classes_upto(k)``: one representative per class with at most k
+    points (k <= 8), size by size in canonical-code order, the order that
+    ``enumerate_posets(1)``, ..., ``enumerate_posets(k)`` give them in.
+
+    The levels come from one pass over the enumeration, built as far as
+    the largest k asked for and shared by every test of the session.
+    """
+    stream = _levels(CENSUS_POINTS, max_points=CENSUS_POINTS)
+    levels = []
+
+    def upto(k):
+        if not 1 <= k <= CENSUS_POINTS:
+            raise ValueError(f"k must be in 1..{CENSUS_POINTS}, got {k}")
+        while len(levels) < k:
+            levels.append(tuple(map(_poset_from_code, next(stream))))
+        return [p for level in levels[:k] for p in level]
+
+    return upto
 
 
 @pytest.fixture

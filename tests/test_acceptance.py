@@ -50,10 +50,12 @@ def b1_of(p):
 
 
 @lru_cache(maxsize=None)
-def size_census(size):
+def size_census(classes_upto, size):
     """(connected, height, edges, b1-if-height2) per class of one size."""
     rows = []
-    for p in enumerate_posets(size):
+    for p in classes_upto(size):
+        if p.n != size:
+            continue
         height2 = p.height == 2
         rows.append(
             (
@@ -111,7 +113,7 @@ def closed_form_size(n):
     return min(even, odd)
 
 
-def test_criterion_3_wedge_theorem():
+def test_criterion_3_wedge_theorem(classes_upto):
     with report(3, "wedge model size formula and characterization, n = 1..12"):
         for n in range(1, 13):
             direct = min(
@@ -126,7 +128,7 @@ def test_criterion_3_wedge_theorem():
             size = minimal_wedge_size(n)
             if size > 8:
                 continue
-            census = size_census(size)
+            census = size_census(classes_upto, size)
             for connected, height, edges, b1 in census:
                 conditions = height == 2 and edges == size + n - 1
                 if conditions:
@@ -174,45 +176,42 @@ def test_criterion_6_osaki_counterexample(osaki_x, osaki_y):
         assert b1_of(osaki_x) == b1_of(osaki_y) == 2
 
 
-def test_criterion_7_euler_invariance():
+def test_criterion_7_euler_invariance(classes_upto):
     with report(7, "chain-sum Euler characteristic is invariant under taking cores, "
                    "all classes with <= 7 points"):
         scanned = 0
-        for k in range(1, 8):
-            for p in enumerate_posets(k):
-                assert euler_characteristic(p) == euler_characteristic(core(p).final)
-                scanned += 1
+        for p in classes_upto(7):
+            assert euler_characteristic(p) == euler_characteristic(core(p).final)
+            scanned += 1
         assert scanned == 1 + 2 + 5 + 16 + 63 + 318 + 2045
 
 
-def test_criterion_8_epimorphism_surrogate():
+def test_criterion_8_epimorphism_surrogate(classes_upto):
     with report(8, "removing a non-extremal point keeps connectivity and never "
                    "drops b1, all connected classes with <= 7 points"):
-        for k in range(2, 8):
-            for p in enumerate_posets(k):
-                if not p.is_connected():
+        for p in classes_upto(7):
+            if p.n < 2 or not p.is_connected():
+                continue
+            base = b1_of(p)
+            for x in range(p.n):
+                if p.up[x] == 1 << x or p.down[x] == 1 << x:
                     continue
-                base = b1_of(p)
-                for x in range(p.n):
-                    if p.up[x] == 1 << x or p.down[x] == 1 << x:
-                        continue
-                    q = remove_point(p, x)
-                    assert q.is_connected()
-                    assert b1_of(q) >= base
+                q = remove_point(p, x)
+                assert q.is_connected()
+                assert b1_of(q) >= base
 
 
-def test_criterion_9_pi1_consistency():
+def test_criterion_9_pi1_consistency(classes_upto):
     with report(9, "presentation abelianization agrees with homology b1 "
                    "(<= 6 points), relator-free with 1 - euler generators at height 2"):
-        for k in range(1, 7):
-            for p in enumerate_posets(k):
-                if not p.is_connected():
-                    continue
-                assert first_betti(p) == b1_of(p)
-                if p.height == 2:
-                    pres = edge_path_presentation(p, 0)
-                    assert pres.relators == ()
-                    assert pres.generators == 1 - euler_characteristic(p)
+        for p in classes_upto(6):
+            if not p.is_connected():
+                continue
+            assert first_betti(p) == b1_of(p)
+            if p.height == 2:
+                pres = edge_path_presentation(p, 0)
+                assert pres.relators == ()
+                assert pres.generators == 1 - euler_characteristic(p)
 
 
 def labeled_brute_force_classes(k):

@@ -15,7 +15,6 @@ from finito import (
     poset_homology,
     sphere_model,
 )
-from finito.models import enumerate_posets
 from finito.order_complex import boundary_matrix
 from finito.snf import (
     eliminate_unit_pivots,
@@ -71,20 +70,18 @@ def test_wedge_model_gives_k23(wedge5):
     assert all(len(set(f) & tops) == 1 for f in k.faces if len(f) == 2)
 
 
-def test_complex_equals_complex_of_opposite():
-    for k in range(1, 6):
-        for p in enumerate_posets(k):
-            assert order_complex(p) == order_complex(p.opposite())
+def test_complex_equals_complex_of_opposite(classes_upto):
+    for p in classes_upto(5):
+        assert order_complex(p) == order_complex(p.opposite())
 
 
-def test_order_complex_passes_the_full_check():
+def test_order_complex_passes_the_full_check(classes_upto):
     """Order complexes skip the face checks; rebuilding each through the
     checking constructor must give the same complex."""
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            k_p = order_complex(p)
-            rebuilt = SimplicialComplex(p.n, k_p.faces)
-            assert rebuilt == k_p and rebuilt.dim == k_p.dim == p.height - 1
+    for p in classes_upto(6):
+        k_p = order_complex(p)
+        rebuilt = SimplicialComplex(p.n, k_p.faces)
+        assert rebuilt == k_p and rebuilt.dim == k_p.dim == p.height - 1
 
 
 def test_complex_validation():
@@ -101,19 +98,17 @@ def test_euler_characteristic_examples(wedge5):
     assert euler_characteristic(wedge5) == -1
 
 
-def test_euler_matches_mobius_oracle():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            assert euler_characteristic(p) == mobius_euler(p)
+def test_euler_matches_mobius_oracle(classes_upto):
+    for p in classes_upto(7):
+        assert euler_characteristic(p) == mobius_euler(p)
     assert euler_characteristic(FinitePoset.chain(160)) == 1
 
 
-def test_euler_chain_sum_matches_f_vector():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            kx = order_complex(p)
-            alt = sum((-1) ** d * c for d, c in enumerate(kx.f_vector))
-            assert euler_characteristic(p) == alt == kx.euler_characteristic()
+def test_euler_chain_sum_matches_f_vector(classes_upto):
+    for p in classes_upto(6):
+        kx = order_complex(p)
+        alt = sum((-1) ** d * c for d, c in enumerate(kx.f_vector))
+        assert euler_characteristic(p) == alt == kx.euler_characteristic()
 
 
 def test_f_vector_examples(ss0):
@@ -140,26 +135,24 @@ def test_homology_wedge(wedge5):
     assert homology(order_complex(wedge5)).betti == (1, 2)
 
 
-def test_homology_b0_counts_components():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            h = homology(order_complex(p))
-            assert h.betti[0] == len(p.connected_components())
-            assert sum(
-                (-1) ** d * b for d, b in enumerate(h.betti)
-            ) == euler_characteristic(p)
+def test_homology_b0_counts_components(classes_upto):
+    for p in classes_upto(7):
+        h = homology(order_complex(p))
+        assert h.betti[0] == len(p.connected_components())
+        assert sum(
+            (-1) ** d * b for d, b in enumerate(h.betti)
+        ) == euler_characteristic(p)
 
 
-def test_homology_height2_graph_case():
+def test_homology_height2_graph_case(classes_upto):
     # connected height-2 spaces: b1 = 1 - euler characteristic, no torsion
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            if p.height != 2 or not p.is_connected():
-                continue
-            h = homology(order_complex(p))
-            b1 = h.betti[1] if len(h.betti) > 1 else 0
-            assert b1 == 1 - euler_characteristic(p)
-            assert all(t == () for t in h.torsion)
+    for p in classes_upto(7):
+        if p.height != 2 or not p.is_connected():
+            continue
+        h = homology(order_complex(p))
+        b1 = h.betti[1] if len(h.betti) > 1 else 0
+        assert b1 == 1 - euler_characteristic(p)
+        assert all(t == () for t in h.torsion)
 
 
 def rp2_faces():
@@ -181,10 +174,9 @@ def test_homology_projective_plane_torsion():
     assert h.torsion == ((), (2,), ())
 
 
-def test_poset_homology_equals_full_homology():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            assert poset_homology(p) == homology(order_complex(p))
+def test_poset_homology_equals_full_homology(classes_upto):
+    for p in classes_upto(7):
+        assert poset_homology(p) == homology(order_complex(p))
 
 
 def test_poset_homology_of_projective_plane_face_poset():
@@ -218,13 +210,12 @@ def test_smith_invariant_factors_known():
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
 
 
-def test_sparse_kernel_matches_dense_snf():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            kx = order_complex(p)
-            for d in range(1, kx.dim + 1):
-                m = boundary_matrix(kx, d)
-                assert sparse_first_factors(sparse_columns(m)) == smith_invariant_factors(m)
+def test_sparse_kernel_matches_dense_snf(classes_upto):
+    for p in classes_upto(7):
+        kx = order_complex(p)
+        for d in range(1, kx.dim + 1):
+            m = boundary_matrix(kx, d)
+            assert sparse_first_factors(sparse_columns(m)) == smith_invariant_factors(m)
 
 
 def test_eliminate_unit_pivots_known():
@@ -268,9 +259,8 @@ def test_int_row_span():
     assert [0, 0, 0] in span
 
 
-def test_euler_invariance_under_homotopy_type():
+def test_euler_invariance_under_homotopy_type(classes_upto):
     # homotopy equivalent spaces share the chain-sum value
-    for k in range(1, 6):
-        for p in enumerate_posets(k):
-            assert euler_characteristic(p) == euler_characteristic(core(p).final)
+    for p in classes_upto(5):
+        assert euler_characteristic(p) == euler_characteristic(core(p).final)
     assert betti_numbers(sphere_model(2)) == (1, 0, 1)

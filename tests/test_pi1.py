@@ -23,7 +23,7 @@ from finito import (
     spanning_tree,
     tietze_simplify,
 )
-from finito.models import bipartite_model, enumerate_posets
+from finito.models import bipartite_model
 from finito.pi1 import (
     _edge_letter,
     abelianized,
@@ -32,6 +32,7 @@ from finito.pi1 import (
     invert_word,
 )
 from int_row_span import IntRowSpan
+from tietze_oracle import tietze_simplify as rescanning_tietze
 
 
 def cover_steps(p, x):
@@ -198,16 +199,15 @@ def chain_filter_presentation(p, x0):
     return GroupPresentation(len(gens), tuple(relators))
 
 
-def test_presentation_matches_chain_filter():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            if not p.is_connected():
-                continue
-            for x0 in range(p.n):
-                pres = edge_path_presentation(p, x0)
-                ref = chain_filter_presentation(p, x0)
-                assert pres == ref
-                assert presentation_text(pres) == presentation_text(ref)
+def test_presentation_matches_chain_filter(classes_upto):
+    for p in classes_upto(6):
+        if not p.is_connected():
+            continue
+        for x0 in range(p.n):
+            pres = edge_path_presentation(p, x0)
+            ref = chain_filter_presentation(p, x0)
+            assert pres == ref
+            assert presentation_text(pres) == presentation_text(ref)
 
 
 def test_presentation_of_long_chain():
@@ -217,23 +217,21 @@ def test_presentation_of_long_chain():
     assert 0 < len(pres.relators) <= 4060
 
 
-def test_contractible_presentations_trivialize():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            if not p.is_connected() or not is_contractible(p):
-                continue
-            simp = tietze_simplify(edge_path_presentation(p, 0))
-            assert simp.generators == 0 and simp.relators == ()
+def test_contractible_presentations_trivialize(classes_upto):
+    for p in classes_upto(6):
+        if not p.is_connected() or not is_contractible(p):
+            continue
+        simp = tietze_simplify(edge_path_presentation(p, 0))
+        assert simp.generators == 0 and simp.relators == ()
 
 
-def test_height2_presentations_are_free():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            if p.height != 2 or not p.is_connected():
-                continue
-            pres = edge_path_presentation(p, 0)
-            assert pres.relators == ()
-            assert pres.generators == 1 - euler_characteristic(p)
+def test_height2_presentations_are_free(classes_upto):
+    for p in classes_upto(7):
+        if p.height != 2 or not p.is_connected():
+            continue
+        pres = edge_path_presentation(p, 0)
+        assert pres.relators == ()
+        assert pres.generators == 1 - euler_characteristic(p)
 
 
 def test_tietze_unit_cases():
@@ -246,6 +244,28 @@ def test_tietze_unit_cases():
     # free generators without relators survive untouched
     free2 = tietze_simplify(GroupPresentation(2, ()))
     assert free2.generators == 2
+
+
+def test_tietze_matches_rescanning_oracle(classes_upto):
+    # edge-path presentations of every connected class with <= 7 points, and
+    # seeded random words of 1..6 generators, some of them not free
+    presentations = [
+        edge_path_presentation(p, 0) for p in classes_upto(7) if p.is_connected()
+    ]
+    rng = random.Random(8)
+    for _ in range(3000):
+        g = rng.randint(1, 6)
+        relators = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, g) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 5))
+        )
+        presentations.append(GroupPresentation(g, relators))
+    not_free = 0
+    for pres in presentations:
+        simp = tietze_simplify(pres)
+        assert simp == rescanning_tietze(pres), pres
+        not_free += bool(simp.relators)
+    assert not_free > 100
 
 
 def test_group_presentation_normalizes():
@@ -263,14 +283,13 @@ def test_first_betti_values(wedge5):
             assert first_betti(bipartite_model(i, j)) == (i - 1) * (j - 1)
 
 
-def test_first_betti_matches_homology():
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            if not p.is_connected():
-                continue
-            betti = betti_numbers(p)
-            b1 = betti[1] if len(betti) > 1 else 0
-            assert first_betti(p) == b1, p
+def test_first_betti_matches_homology(classes_upto):
+    for p in classes_upto(7):
+        if not p.is_connected():
+            continue
+        betti = betti_numbers(p)
+        b1 = betti[1] if len(betti) > 1 else 0
+        assert first_betti(p) == b1, p
 
 
 def test_loop_to_word_four_cycle(ss0):
@@ -303,48 +322,47 @@ def test_loop_to_word_validates(ss0):
         loop_to_word(ss0, 1, HPath(0))
 
 
-def test_close_moves_fix_words_exhaustively():
+def test_close_moves_fix_words_exhaustively(classes_upto):
     # insert moves never change the freely reduced word for height <= 2
     # spaces (the group is free), and never change the image in the
     # abelianization of the presented group in general
     rng = random.Random(9)
-    for k in range(2, 7):
-        for p in enumerate_posets(k):
-            if not p.is_connected():
+    for p in classes_upto(6):
+        if p.n < 2 or not p.is_connected():
+            continue
+        x0 = 0
+        tree = spanning_tree(p, x0)
+        pres = edge_path_presentation(p, x0)
+        relator_span = IntRowSpan(pres.generators)
+        for rel in pres.relators:
+            relator_span.add(abelianized(rel, pres.generators))
+        for _ in range(6):
+            loop = random_loop(p, x0, rng)
+            word = loop_to_word(p, x0, loop, tree)
+            pts = loop.points()
+            detour = monotonic_detour(p, rng.choice(pts), rng)
+            if detour is None:
                 continue
-            x0 = 0
-            tree = spanning_tree(p, x0)
-            pres = edge_path_presentation(p, x0)
-            relator_span = IntRowSpan(pres.generators)
-            for rel in pres.relators:
-                relator_span.add(abelianized(rel, pres.generators))
-            for _ in range(6):
-                loop = random_loop(p, x0, rng)
-                word = loop_to_word(p, x0, loop, tree)
-                pts = loop.points()
-                detour = monotonic_detour(p, rng.choice(pts), rng)
-                if detour is None:
-                    continue
-                cut = rng.choice(
-                    [i for i, q in enumerate(pts) if q == detour[0].basepoint]
-                )
-                moved = close_move(p, loop, cut, insert=detour)
-                variants = [loop_to_word(p, x0, moved, tree)]
-                deletion = find_delete_move(p, moved, rng)
-                if deletion is not None:
-                    shrunk = close_move(p, moved, deletion)
-                    variants.append(loop_to_word(p, x0, shrunk, tree))
-                for new_word in variants:
-                    if p.height <= 2:
-                        assert new_word == word
-                    diff = [
-                        a - b
-                        for a, b in zip(
-                            abelianized(new_word, pres.generators),
-                            abelianized(word, pres.generators),
-                        )
-                    ]
-                    assert diff in relator_span, (p, loop, detour)
+            cut = rng.choice(
+                [i for i, q in enumerate(pts) if q == detour[0].basepoint]
+            )
+            moved = close_move(p, loop, cut, insert=detour)
+            variants = [loop_to_word(p, x0, moved, tree)]
+            deletion = find_delete_move(p, moved, rng)
+            if deletion is not None:
+                shrunk = close_move(p, moved, deletion)
+                variants.append(loop_to_word(p, x0, shrunk, tree))
+            for new_word in variants:
+                if p.height <= 2:
+                    assert new_word == word
+                diff = [
+                    a - b
+                    for a, b in zip(
+                        abelianized(new_word, pres.generators),
+                        abelianized(word, pres.generators),
+                    )
+                ]
+                assert diff in relator_span, (p, loop, detour)
 
 
 def test_spanning_tree_deterministic(osaki_x):

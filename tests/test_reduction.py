@@ -20,7 +20,6 @@ from finito import (
     osaki_open_reduction,
     remove_point,
 )
-from finito.models import enumerate_posets
 from finito.poset import _bits
 from finito.reduction import BeatPointReport, ReductionTrace, _quotient
 
@@ -44,20 +43,19 @@ def test_beat_points_minimal_spaces(ss0, osaki_x, wedge5):
     assert beat_points(wedge5) == []
 
 
-def test_minimal_space_characterization():
+def test_minimal_space_characterization(classes_upto):
     # no beat points iff no pair x != y where comparability with x forces
     # comparability with y; checked exhaustively on small classes
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            dominated = any(
-                x != y
-                and all(
-                    p.comparable(z, y) for z in range(p.n) if p.comparable(z, x)
-                )
-                for x in range(p.n)
-                for y in range(p.n)
+    for p in classes_upto(7):
+        dominated = any(
+            x != y
+            and all(
+                p.comparable(z, y) for z in range(p.n) if p.comparable(z, x)
             )
-            assert (not beat_points(p)) == (not dominated), p
+            for x in range(p.n)
+            for y in range(p.n)
+        )
+        assert (not beat_points(p)) == (not dominated), p
 
 
 def test_core_of_chain_and_paper_example(ex4):
@@ -99,21 +97,19 @@ def random_order_core(p, rng):
         )
 
 
-def test_core_independent_of_removal_order():
+def test_core_independent_of_removal_order(classes_upto):
     # twenty random removal orders per class, up to seven points
     rng = random.Random(42)
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            reference = core(p).final
-            for _ in range(20):
-                assert random_order_core(p, rng).is_homeomorphic(reference)
+    for p in classes_upto(7):
+        reference = core(p).final
+        for _ in range(20):
+            assert random_order_core(p, rng).is_homeomorphic(reference)
 
 
-def test_core_idempotent():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            final = core(p).final
-            assert core(final).final.is_homeomorphic(final)
+def test_core_idempotent(classes_upto):
+    for p in classes_upto(6):
+        final = core(p).final
+        assert core(final).final.is_homeomorphic(final)
 
 
 def test_is_contractible(ss0):
@@ -131,10 +127,9 @@ def test_is_homotopy_equivalent(ss0, wedge5):
     assert is_homotopy_equivalent(ss0, glued)
 
 
-def test_euler_invariant_under_core_small():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            assert euler_characteristic(p) == euler_characteristic(core(p).final)
+def test_euler_invariant_under_core_small(classes_upto):
+    for p in classes_upto(6):
+        assert euler_characteristic(p) == euler_characteristic(core(p).final)
 
 
 def test_osaki_open_reduction_minimal_point(ss0):
@@ -162,27 +157,25 @@ def test_osaki_counterexample_has_no_shrinking_reduction(osaki_x):
             assert q is None or q.n == osaki_x.n
 
 
-def test_osaki_quotients_preserve_euler_and_b1():
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            for x in range(p.n):
-                q = osaki_open_reduction(p, x)
-                if q is not None:
-                    assert euler_characteristic(q) == euler_characteristic(p)
-                    assert b1(q) == b1(p)
+def test_osaki_quotients_preserve_euler_and_b1(classes_upto):
+    for p in classes_upto(6):
+        for x in range(p.n):
+            q = osaki_open_reduction(p, x)
+            if q is not None:
+                assert euler_characteristic(q) == euler_characteristic(p)
+                assert b1(q) == b1(p)
 
 
-def test_osaki_quotients_pass_the_full_check():
+def test_osaki_quotients_pass_the_full_check(classes_upto):
     """Quotients skip validation; rebuilding each through the checking
     constructor must give the same order."""
-    for k in range(1, 7):
-        for p in enumerate_posets(k):
-            p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
-            for x in range(p.n):
-                for reduce in (osaki_open_reduction, osaki_closed_reduction):
-                    q = reduce(p, x)
-                    if q is not None:
-                        assert FinitePoset(q.up, q.labels) == q
+    for p in classes_upto(6):
+        p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
+        for x in range(p.n):
+            for reduce in (osaki_open_reduction, osaki_closed_reduction):
+                q = reduce(p, x)
+                if q is not None:
+                    assert FinitePoset(q.up, q.labels) == q
 
 
 def test_mccord_identity(ss0):
@@ -219,20 +212,19 @@ def test_remove_point_keeps_counterexample_connected(osaki_x):
     assert remove_point(osaki_x, 1).is_connected()
 
 
-def test_epimorphism_surrogate_small():
+def test_epimorphism_surrogate_small(classes_upto):
     # removing a non-extremal point keeps the space connected and can only
     # increase the first Betti number
-    for k in range(2, 7):
-        for p in enumerate_posets(k):
-            if not p.is_connected():
+    for p in classes_upto(6):
+        if p.n < 2 or not p.is_connected():
+            continue
+        base = b1(p)
+        for x in range(p.n):
+            if p.up[x] == 1 << x or p.down[x] == 1 << x:
                 continue
-            base = b1(p)
-            for x in range(p.n):
-                if p.up[x] == 1 << x or p.down[x] == 1 << x:
-                    continue
-                q = remove_point(p, x)
-                assert q.is_connected()
-                assert b1(q) >= base
+            q = remove_point(p, x)
+            assert q.is_connected()
+            assert b1(q) >= base
 
 
 def test_flatten_examples():
@@ -254,12 +246,12 @@ def test_flatten_rejects_a_basepoint_out_of_range():
             flatten_to_height2(p, x0)
 
 
-def test_flatten_seven_point_height3_classes():
+def test_flatten_seven_point_height3_classes(classes_upto):
     # every connected 7-point class of height 3 flattens (from a minimal
     # basepoint) to height <= 2 without losing rank
     checked = 0
-    for p in enumerate_posets(7):
-        if p.height != 3 or not p.is_connected():
+    for p in classes_upto(7):
+        if p.n != 7 or p.height != 3 or not p.is_connected():
             continue
         x0 = p.minimal_elements()[0]
         flat, kept = flatten_to_height2(p, x0)
@@ -310,6 +302,8 @@ def ref_contractible(p, mask):
 
 
 def ref_osaki_open(p, x):
+    """The hypothesis checked on every y, comparable to x or not, and on
+    every intersection as often as it occurs."""
     u = p.down[x]
     for y in range(p.n):
         inter = u & p.down[y]
@@ -383,23 +377,22 @@ def random_monotone_map(p, rng):
     return list(range(p.n))
 
 
-def test_mask_reductions_match_per_step_reference():
+def test_mask_reductions_match_per_step_reference(classes_upto):
     rng = random.Random(5)
-    for k in range(1, 8):
-        for p in enumerate_posets(k):
-            p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
-            ref = ref_core(p)
-            trace = core(p)
-            assert (trace.removed, trace.kept) == (ref.removed, ref.kept)
-            assert trace.final.up == ref.final.up
-            assert beat_points(p) == ref_beat_points(p)
-            assert is_contractible(p) == (ref.final.n == 1)
-            for x in range(p.n):
-                assert outcome(osaki_open_reduction, p, x) == outcome(ref_osaki_open, p, x)
-                assert outcome(osaki_closed_reduction, p, x) == outcome(ref_osaki_closed, p, x)
-                assert outcome(flatten_to_height2, p, x) == outcome(ref_flatten, p, x)
-            for f in (list(range(p.n)), random_monotone_map(p, rng)):
-                assert mccord_check(p, p, f).entries == ref_mccord_entries(p, p, f)
+    for p in classes_upto(7):
+        p = FinitePoset(p.up, [f"v{x}" for x in range(p.n)])
+        ref = ref_core(p)
+        trace = core(p)
+        assert (trace.removed, trace.kept) == (ref.removed, ref.kept)
+        assert trace.final.up == ref.final.up
+        assert beat_points(p) == ref_beat_points(p)
+        assert is_contractible(p) == (ref.final.n == 1)
+        for x in range(p.n):
+            assert outcome(osaki_open_reduction, p, x) == outcome(ref_osaki_open, p, x)
+            assert outcome(osaki_closed_reduction, p, x) == outcome(ref_osaki_closed, p, x)
+            assert outcome(flatten_to_height2, p, x) == outcome(ref_flatten, p, x)
+        for f in (list(range(p.n)), random_monotone_map(p, rng)):
+            assert mccord_check(p, p, f).entries == ref_mccord_entries(p, p, f)
 
 
 def test_core_of_long_chain_and_cone():
