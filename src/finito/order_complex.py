@@ -2,9 +2,8 @@
 
 The complex of a poset has the nonempty chains as simplices.  Homology is
 computed from the integer boundary maps, built as sparse columns of +-1
-entries: every unit pivot is eliminated first, and Smith normal form runs
-only on the block left over, so Betti numbers and torsion coefficients are
-exact.
+entries and reduced to Smith normal form on those columns, unit pivots
+first, so Betti numbers and torsion coefficients are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import cached_property
 
 from .poset import FinitePoset, _bits
 from .reduction import core
-from .snf import eliminate_unit_pivots, smith_invariant_factors
+from .snf import smith_invariant_factors
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def homology(k: SimplicialComplex) -> HomologySummary:
     dim = k.dim
     factors = {}
     for d in range(1, dim + 1):
-        units, residual = eliminate_unit_pivots(_boundary_columns(k, d))
-        factors[d] = [1] * units + smith_invariant_factors(residual)
+        factors[d] = smith_invariant_factors(_boundary_columns(k, d))
     ranks = {d: len(factors.get(d, [])) for d in range(dim + 2)}
     betti = tuple(k.f_vector[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1))
     torsion = tuple(

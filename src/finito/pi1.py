@@ -190,6 +190,12 @@ def comparability_edges(p: FinitePoset) -> list[tuple[int, int]]:
     ]
 
 
+def _generator_index(p: FinitePoset, tree) -> dict[tuple[int, int], int]:
+    """Number 1.. of each comparability edge outside the spanning tree."""
+    gens = (e for e in comparability_edges(p) if e not in tree)
+    return {e: i for i, e in enumerate(gens, 1)}
+
+
 def _edge_letter(p, tree, gen_index, a, b) -> tuple[int, ...]:
     """Word of the skeleton edge traversed from a to b."""
     pair = (min(a, b), max(a, b))
@@ -208,8 +214,7 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     two short steps compose to the long one.
     """
     tree = spanning_tree(p, x0)
-    gens = [e for e in comparability_edges(p) if e not in tree]
-    gen_index = {e: i + 1 for i, e in enumerate(gens)}
+    gen_index = _generator_index(p, tree)
     strict_up = [p.up[x] & ~(1 << x) for x in range(p.n)]
     relators = []
     # the three-point chains in the order FinitePoset.chains lists them
@@ -223,7 +228,7 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
                 )
                 if word:
                     relators.append(word)
-    return GroupPresentation(len(gens), tuple(relators))
+    return GroupPresentation(len(gen_index), tuple(relators))
 
 
 def loop_to_word(p: FinitePoset, x0: int, loop: HPath, tree=None) -> tuple[int, ...]:
@@ -234,8 +239,7 @@ def loop_to_word(p: FinitePoset, x0: int, loop: HPath, tree=None) -> tuple[int, 
     validate_path(p, loop)
     if loop.basepoint != x0 or not loop.is_loop():
         raise IllFormedPathError(f"not a loop at {x0}")
-    gens = [e for e in comparability_edges(p) if e not in tree]
-    gen_index = {e: i + 1 for i, e in enumerate(gens)}
+    gen_index = _generator_index(p, tree)
     word = []
     for e in loop.edges:
         word.extend(_edge_letter(p, tree, gen_index, e.origin, e.end))

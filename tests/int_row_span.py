@@ -1,6 +1,6 @@
 """Row-space membership over the integers, an oracle for the tests."""
 
-from finito.snf import xgcd
+from dense_snf import xgcd
 
 
 class IntRowSpan:

@@ -16,12 +16,9 @@ from finito import (
     sphere_model,
 )
 from finito.order_complex import boundary_matrix
-from finito.snf import (
-    eliminate_unit_pivots,
-    matrix_rank,
-    smith_invariant_factors,
-    xgcd,
-)
+from finito.snf import matrix_rank, smith_invariant_factors
+from dense_snf import smith_invariant_factors as dense_invariant_factors
+from dense_snf import xgcd
 from int_row_span import IntRowSpan
 
 
@@ -29,13 +26,6 @@ def sparse_columns(matrix):
     """Columns of a dense row-list matrix as {row: entry} dicts."""
     width = len(matrix[0]) if matrix else 0
     return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]
-
-
-def sparse_first_factors(columns):
-    """Invariant factors as homology computes them: unit pivots, then the
-    residual block through dense SNF."""
-    units, residual = eliminate_unit_pivots(columns)
-    return [1] * units + smith_invariant_factors(residual)
 
 
 def mobius_euler(p):
@@ -202,11 +192,14 @@ def test_xgcd():
 
 
 def test_smith_invariant_factors_known():
-    assert smith_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_invariant_factors([[1, 0], [0, 0]]) == [1]
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariant_factors([[2, 0], [0, 2]]) == [2, 2]
+    for m, want in [
+        ([[2, 4], [6, 8]], [2, 4]),
+        ([[1, 0], [0, 0]], [1]),
+        ([[0, 0], [0, 0]], []),
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[2, 0], [0, 2]], [2, 2]),
+    ]:
+        assert smith_invariant_factors(sparse_columns(m)) == want == dense_invariant_factors(m)
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
 
 
@@ -215,23 +208,24 @@ def test_sparse_kernel_matches_dense_snf(classes_upto):
         kx = order_complex(p)
         for d in range(1, kx.dim + 1):
             m = boundary_matrix(kx, d)
-            assert sparse_first_factors(sparse_columns(m)) == smith_invariant_factors(m)
+            assert smith_invariant_factors(sparse_columns(m)) == dense_invariant_factors(m)
 
 
 def test_eliminate_unit_pivots_known():
+    """Matrices with and without unit pivots, and what the unit
+    elimination leaves for the rest of the kernel."""
     for m, want in [
-        ([[2, 4], [6, 8]], [2, 4]),  # no unit pivot: all of it is residual
+        ([[2, 4], [6, 8]], [2, 4]),  # no unit pivot
         ([[0, 0], [0, 0]], []),
         ([[1, 1], [1, -1]], [1, 2]),  # elimination leaves the entry -2
         ([[1, 1, 0], [1, -1, 2], [0, 2, 4]], [1, 2, 6]),
         ([[3, 0], [0, 1]], [1, 3]),
     ]:
-        assert sparse_first_factors(sparse_columns(m)) == want == smith_invariant_factors(m)
-    assert eliminate_unit_pivots([]) == (0, [])
-    assert eliminate_unit_pivots([{}, {}]) == (0, [])
-    assert eliminate_unit_pivots([{0: 2, 1: 6}, {0: 4, 1: 8}]) == (0, [[2, 4], [6, 8]])
+        assert smith_invariant_factors(sparse_columns(m)) == want == dense_invariant_factors(m)
+    assert smith_invariant_factors([]) == []
+    assert smith_invariant_factors([{}, {}]) == []
     columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-    assert eliminate_unit_pivots(columns) == (1, [[-2]])
+    assert smith_invariant_factors(columns) == [1, 2]
     assert columns == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
@@ -241,9 +235,36 @@ def test_smith_divisibility_chain():
     rng = random.Random(3)
     for _ in range(50):
         m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
-        d = smith_invariant_factors(m)
+        d = smith_invariant_factors(sparse_columns(m))
         for a, b in zip(d, d[1:]):
             assert b % a == 0
+        assert d == dense_invariant_factors(m)
+
+
+def test_kernel_matches_dense_oracle_on_random_matrices():
+    """Seeded random shapes 0x0..6x6 whose entries are mostly not units,
+    so the kernel's least-absolute-value steps do most of the work; more
+    than a quarter of the matrices have a factor above 1."""
+    import copy
+    import random
+
+    rng = random.Random(9)
+    entries = (1, -1, 2, -2, 3, 4, -6, 5, 9)
+    torsion = 0
+    for _ in range(10000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.random()
+        columns = [
+            {i: rng.choice(entries) for i in range(m) if rng.random() < density}
+            for _ in range(n)
+        ]
+        before = copy.deepcopy(columns)
+        dense = [[col.get(i, 0) for col in columns] for i in range(m)]
+        factors = smith_invariant_factors(columns)
+        assert factors == dense_invariant_factors(dense), dense
+        assert columns == before
+        torsion += any(d > 1 for d in factors)
+    assert torsion > 2500
 
 
 def test_int_row_span():
