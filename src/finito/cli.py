@@ -3,9 +3,10 @@
 Exit codes: 0 for success and confirmed verifications, 1 for a violated
 verification or failed check (the violator is printed), 2 for input
 errors.  Every subcommand takes --json for a machine-readable mirror of
-the text output.  NO_COLOR disables ANSI styling; FINITO_MAX_POINTS
-overrides the enumeration cap.  ``python -m finito`` is equivalent to the
-installed ``finito`` command.
+the text output.  NO_COLOR disables ANSI styling.  ``enumerate`` and
+``verify spheres`` enumerate classes of at most 10 points and refuse a
+larger request before any work.  ``python -m finito`` is equivalent to
+the installed ``finito`` command.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_verify_spheres(args) -> int:
-    report = verify_sphere_theorem(args.max_h, max_points=args.max_points)
+    report = verify_sphere_theorem(args.max_h)
     heights = sorted(report.equality_classes)
     if args.json:
         _emit_json(
@@ -353,17 +354,22 @@ def _parse_filter(spec: str):
 
 
 def cmd_enumerate(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ValueError(
+            f"--workers must be from 1 to {cpus} (the CPU count), got {args.workers}"
+        )
     pred = _parse_filter(args.filter) if args.filter else None
-    classes = enumerate_posets(args.k, max_points=args.max_points, workers=args.workers)
+    classes = enumerate_posets(args.k, workers=args.workers)
     if pred:
-        classes = [p for p in classes if pred(p)]
-        data = {"k": args.k, "filter": args.filter, "count": len(classes)}
-        heading = [f"k={args.k} [{args.filter}]: {len(classes)} classes"]
+        classes = filter(pred, classes)
+    if args.emit:
+        classes = list(classes)
+    if pred:
+        count = sum(1 for _ in classes)
+        data = {"k": args.k, "filter": args.filter, "count": count}
+        heading = [f"k={args.k} [{args.filter}]: {count} classes"]
     else:
-        if args.emit:
-            classes = list(classes)
         stats = enumeration_stats(args.k, classes)
         data = {"k": args.k, "total": stats.total, "by_filter": stats.by_filter}
         heading = [f"k={args.k}: {stats.total} classes"]
@@ -422,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vsub.add_parser("spheres", help="minimal spaces of small height")
     sp.set_defaults(handler=cmd_verify_spheres)
     sp.add_argument("--max-h", type=int, required=True)
-    sp.add_argument("--max-points", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     sp = vsub.add_parser("wedges", help="minimal models of circle wedges")
     sp.set_defaults(handler=cmd_verify_wedges)
@@ -433,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("k", type=int)
     sp.add_argument("--filter", help="connected, minimal, or height=H")
     sp.add_argument("--emit", action="store_true", help="print each class")
-    sp.add_argument("--max-points", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1)
     return parser
 

@@ -53,7 +53,7 @@ class IllFormedPathError(FinitoError):
 
 
 class CapExceededError(FinitoError):
-    """Requested enumeration size exceeds the configured cap."""
+    """Requested enumeration size exceeds the fixed limit of 10 points."""
 
 
 class FlattenBlockedError(FinitoError):

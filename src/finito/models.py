@@ -3,15 +3,14 @@
 Builds the standard small models (non-Hausdorff suspensions, sphere
 models, complete bipartite models of circle wedges), generates every
 minimal model of a wedge of circles, and enumerates all poset isomorphism
-classes up to a configurable cap to machine-check the sphere theorem on
-every space the cap reaches.  Reports state their scope: nothing is
-claimed beyond the sizes scanned.
+classes of at most MAX_POINTS = 10 points to machine-check the sphere
+theorem on every space of those sizes.  Reports state their scope:
+nothing is claimed beyond the sizes scanned.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import isqrt
@@ -22,32 +21,7 @@ from .order_complex import betti_numbers, euler_characteristic
 from .poset import CanonicalForm, FinitePoset
 from .reduction import is_minimal
 
-DEFAULT_MAX_POINTS = 8
-HARD_MAX_POINTS = 10
-MAX_POINTS_ENV = "FINITO_MAX_POINTS"
-
-
-def resolve_cap(max_points: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else FINITO_MAX_POINTS, else 8.
-
-    A cap that is not a whole number of at least 1 raises ValueError naming
-    where it came from.
-    """
-    source, raw = "--max-points", max_points
-    if raw is None:
-        source = MAX_POINTS_ENV
-        raw = os.environ.get(MAX_POINTS_ENV) or DEFAULT_MAX_POINTS
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{source} must be a whole number of at least 1, got {raw!r}")
-    if cap > HARD_MAX_POINTS:
-        raise CapExceededError(
-            f"cap {cap} exceeds the hard limit of {HARD_MAX_POINTS} points"
-        )
-    return cap
+MAX_POINTS = 10  # the largest class size that enumeration accepts
 
 
 # -- constructions -------------------------------------------------------------
@@ -221,19 +195,15 @@ def _children_codes(code: bytes) -> list[bytes]:
     return list(found)
 
 
-def _levels(
-    k: int, workers: int = 1, max_points: int | None = None
-) -> Iterator[tuple[bytes, ...]]:
+def _levels(k: int, workers: int = 1) -> Iterator[tuple[bytes, ...]]:
     """Sorted canonical codes of the classes with 1, 2, ..., k points, level
-    by level, keeping only the last; k beyond the cap raises before any work.
-    Each class lists the children whose canonical parent it is, so the lists
-    are disjoint and are concatenated with no merge.  With several workers a
-    forked pool splits the parents of each level."""
-    cap = resolve_cap(max_points)
-    if k > cap:
+    by level, keeping only the last; k beyond MAX_POINTS raises before any
+    work.  Each class lists the children whose canonical parent it is, so
+    the lists are disjoint and are concatenated with no merge.  With several
+    workers a forked pool splits the parents of each level."""
+    if k > MAX_POINTS:
         raise CapExceededError(
-            f"k={k} exceeds the enumeration cap of {cap} points"
-            f" (raise it explicitly or via {MAX_POINTS_ENV})"
+            f"k={k} exceeds the enumeration limit of {MAX_POINTS} points"
         )
     level = (FinitePoset((1,)).canonical_form().code,)
     yield level
@@ -247,18 +217,13 @@ def _levels(
         yield level
 
 
-def enumerate_posets(
-    k: int,
-    *,
-    max_points: int | None = None,
-    workers: int = 1,
-) -> Iterator[FinitePoset]:
+def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
     """One canonically labeled representative per isomorphism class of
-    k-point posets, in canonical-form order.  Each call builds the levels
-    1..k afresh; nothing is kept between calls."""
+    k-point posets, in canonical-form order, for k from 1 to MAX_POINTS.
+    Each call builds the levels 1..k afresh; nothing is kept between calls."""
     if k < 1:
         raise ValueError("k must be positive")
-    for level in _levels(k, workers, max_points):
+    for level in _levels(k, workers):
         pass
     for code in level:
         yield _poset_from_code(code)
@@ -302,7 +267,7 @@ class SphereTheoremReport:
     Scope: every isomorphism class with at most 2*max_height points.  The
     sphere statement itself concerns all spaces with the homotopy groups
     of a sphere; this report checks its combinatorial core on every finite
-    space the cap reaches plus the homology of the standard models.
+    space scanned plus the homology of the standard models.
     """
 
     max_height: int
@@ -325,14 +290,20 @@ class SphereTheoremReport:
         )
 
 
-def verify_sphere_theorem(h: int, *, max_points: int | None = None) -> SphereTheoremReport:
+def verify_sphere_theorem(h: int) -> SphereTheoremReport:
     """Check every class with <= 2h points: a beat-point-free non-singleton
     space has at least twice its height many points, and the equality cases
-    are exactly the standard sphere models, one class per height."""
+    are exactly the standard sphere models, one class per height.  h runs
+    from 2 to MAX_POINTS // 2; a larger h raises CapExceededError."""
     if h < 2:
         raise ValueError("verification starts at height 2")
+    if 2 * h > MAX_POINTS:
+        raise CapExceededError(
+            f"max height {h} needs {2 * h} points, beyond the enumeration limit"
+            f" of {MAX_POINTS} points"
+        )
     report = SphereTheoremReport(max_height=h, points_scanned=2 * h)
-    for code in chain.from_iterable(_levels(2 * h, max_points=max_points)):
+    for code in chain.from_iterable(_levels(2 * h)):
         p = _poset_from_code(code)
         report.classes_scanned += 1
         if p.n < 2 or not is_minimal(p):

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import IllFormedMoveError, IllFormedPathError, NotConnectedError
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _check_point
 from .snf import matrix_rank
 
 
@@ -164,7 +164,9 @@ def invert_word(word) -> tuple[int, ...]:
 
 def spanning_tree(p: FinitePoset, x0: int) -> frozenset[tuple[int, int]]:
     """BFS tree of the comparability graph rooted at x0, smallest index
-    first; edges are index-sorted pairs."""
+    first; edges are index-sorted pairs.  A root out of range raises
+    IndexError."""
+    _check_point(p, x0)
     if not p.is_connected():
         raise NotConnectedError("the space is not connected")
     seen = {x0}

@@ -22,6 +22,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_point(p: "FinitePoset", x: int) -> None:
+    """IndexError unless x is a point of p, i.e. in 0..n-1."""
+    if not 0 <= x < p.n:
+        raise IndexError(f"point {x} out of range for n={p.n}")
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     """Order-invariant fingerprint: equal codes iff order-isomorphic."""

@@ -19,7 +19,7 @@ from .errors import (
     NotConnectedError,
     NotContinuousError,
 )
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _check_point
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,9 @@ def osaki_open_reduction(p: FinitePoset, x: int) -> FinitePoset | None:
     when the check fails.  A point y comparable to x is skipped: the
     intersection of U_x and U_y is then U_y or U_x, whose maximum y or x
     makes it contractible.  Each distinct intersection is checked once.
+    A point out of range raises IndexError.
     """
+    _check_point(p, x)
     u = p.down[x]
     others = ((1 << p.n) - 1) & ~(u | p.up[x])
     inters = {u & p.down[y] for y in _bits(others)}
@@ -190,7 +192,9 @@ def mccord_check(src: FinitePoset, dst: FinitePoset, mapping) -> McCordReport:
 
 
 def remove_point(p: FinitePoset, x: int) -> FinitePoset:
-    """Induced order on the complement of one point."""
+    """Induced order on the complement of one point; a point out of range
+    raises IndexError."""
+    _check_point(p, x)
     if p.n < 2:
         raise LastPointError("cannot remove the last point")
     return p.subposet([v for v in range(p.n) if v != x])
@@ -207,8 +211,7 @@ def flatten_to_height2(p: FinitePoset, x0: int) -> tuple[FinitePoset, tuple[int,
     last non-extremal point left, which raises FlattenBlockedError (pick an
     extremal basepoint).  A basepoint that is not a point raises IndexError.
     """
-    if not 0 <= x0 < p.n:
-        raise IndexError(f"point {x0} out of range for n={p.n}")
+    _check_point(p, x0)
     if not p.is_connected():
         raise NotConnectedError("flattening requires a connected space")
     inner = {v for v in range(p.n) if p.up[v] != 1 << v and p.down[v] != 1 << v}

@@ -17,10 +17,8 @@ def cli_env():
     The directory holding the imported package goes first on PYTHONPATH, so
     the child runs the same code as the test, whatever the working
     directory, a relative PYTHONPATH or an installed copy would pick.
-    FINITO_MAX_POINTS is dropped so the child sees the default cap.
     """
     env = dict(os.environ)
-    env.pop("FINITO_MAX_POINTS", None)
     path = [str(Path(finito.__file__).parents[1])]
     if env.get("PYTHONPATH"):
         path.append(env["PYTHONPATH"])
@@ -37,7 +35,7 @@ def classes_upto():
     The levels come from one pass over the enumeration, built as far as
     the largest k asked for and shared by every test of the session.
     """
-    stream = _levels(CENSUS_POINTS, max_points=CENSUS_POINTS)
+    stream = _levels(CENSUS_POINTS)
     levels = []
 
     def upto(k):

@@ -68,8 +68,7 @@ def size_census(classes_upto, size):
     return rows
 
 
-def test_criterion_1_sphere_theorem_desk_scale(cli_env, monkeypatch):
-    monkeypatch.delenv("FINITO_MAX_POINTS", raising=False)
+def test_criterion_1_sphere_theorem_desk_scale(cli_env):
     with report(1, "sphere lower bound and equality cases for heights 2..4"):
         proc = subprocess.run(
             [sys.executable, "-m", "finito", "verify", "spheres", "--max-h", "4", "--json"],

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,10 +165,12 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
-def test_workers_below_one_is_an_input_error(capsys):
-    code, out, err = run(capsys, "enumerate", "3", "--workers", "0", "--json")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "--workers" in err
+def test_workers_out_of_range_is_an_input_error(capsys):
+    # the levels of k = 3 stay below the size at which a pool is forked
+    for workers in (0, os.cpu_count() + 1):
+        code, out, err = run(capsys, "enumerate", "3", "--workers", str(workers), "--json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--workers" in err
 
 
 def test_empty_wedge_scan_is_an_input_error(capsys):
@@ -186,12 +190,14 @@ def test_wedge_scan_past_the_enumeration_cap(capsys):
     ]
 
 
-def test_bad_max_points_variable_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("FINITO_MAX_POINTS", "abc")
-    code, out, err = run(capsys, "enumerate", "3")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "FINITO_MAX_POINTS" in err
-    assert "invalid literal" not in err
+def test_enumeration_limit_is_named(capsys):
+    for argv, asked in (
+        (["enumerate", "11"], "k=11"),
+        (["verify", "spheres", "--max-h", "6"], "max height 6 needs 12 points"),
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and asked in err and "limit of 10 points" in err
 
 
 def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):
@@ -268,3 +274,23 @@ def test_empty_input_has_no_line_number(capsys, monkeypatch):
     code, out, err = run(capsys, "info", "-")
     assert code == 2 and out == ""
     assert err == "error: no points declared\n"
+
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_cleanly(script, cli_env, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""

@@ -26,7 +26,7 @@ from finito import (
     wedge_uniqueness_scan,
 )
 from finito import models
-from finito.models import is_square, resolve_cap
+from finito.models import MAX_POINTS, is_square
 from finito.poset import _canonical_encoding
 
 # OEIS A000112: poset classes with k points, k = 0..10.
@@ -176,26 +176,10 @@ def test_enumeration_is_sorted_and_valid():
         FinitePoset(p.up)  # revalidate the trusted representative
 
 
-def test_enumeration_cap(monkeypatch):
-    with pytest.raises(CapExceededError):
-        list(enumerate_posets(9))
-    with pytest.raises(CapExceededError):
-        list(enumerate_posets(11, max_points=11))
-    with pytest.raises(CapExceededError):
-        resolve_cap(12)
-    monkeypatch.setenv("FINITO_MAX_POINTS", "9")
-    assert resolve_cap() == 9
-    monkeypatch.setenv("FINITO_MAX_POINTS", "11")
-    with pytest.raises(CapExceededError):
-        resolve_cap()
-    for bad in ("abc", "-3", "0"):
-        monkeypatch.setenv("FINITO_MAX_POINTS", bad)
-        with pytest.raises(ValueError, match="FINITO_MAX_POINTS"):
-            resolve_cap()
-    with pytest.raises(ValueError, match="--max-points"):
-        resolve_cap(0)
-    monkeypatch.delenv("FINITO_MAX_POINTS")
-    assert resolve_cap() == 8
+def test_enumeration_cap():
+    assert MAX_POINTS == 10
+    with pytest.raises(CapExceededError, match="k=11 exceeds the enumeration limit of 10"):
+        next(enumerate_posets(11))
 
 
 def test_enumeration_stats():
@@ -216,7 +200,7 @@ def test_verify_sphere_theorem_h2():
     with pytest.raises(ValueError):
         verify_sphere_theorem(1)
     with pytest.raises(CapExceededError):
-        verify_sphere_theorem(5)
+        verify_sphere_theorem(6)
 
 
 def test_wedge_minimal_models_small():
@@ -298,7 +282,7 @@ def test_class_counts_match_oeis():
 
 @pytest.mark.slow
 def test_class_count_nine_points():
-    assert sum(1 for _ in enumerate_posets(9, max_points=9)) == A000112[9]
+    assert sum(1 for _ in enumerate_posets(9)) == A000112[9]
 
 
 def test_enumeration_matches_extension_oracle():

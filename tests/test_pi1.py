@@ -23,7 +23,7 @@ from finito import (
     spanning_tree,
     tietze_simplify,
 )
-from finito.models import bipartite_model
+from finito.models import bipartite_model, sphere_model
 from finito.pi1 import (
     _edge_letter,
     abelianized,
@@ -378,3 +378,16 @@ def test_presentation_text():
         presentation_text(GroupPresentation(2, ((1, 2, -1, -2),)))
         == "< a, b | abAB >"
     )
+
+
+def test_basepoints_out_of_range_raise():
+    circle = sphere_model(1)
+    assert edge_path_presentation(circle, 0).generators == 1
+    for x0 in (-1, circle.n):
+        for build in (
+            spanning_tree,
+            edge_path_presentation,
+            lambda p, x0: loop_to_word(p, x0, HPath(0)),
+        ):
+            with pytest.raises(IndexError, match=f"point {x0} out of range for n=4"):
+                build(circle, x0)

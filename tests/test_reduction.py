@@ -246,6 +246,14 @@ def test_flatten_rejects_a_basepoint_out_of_range():
             flatten_to_height2(p, x0)
 
 
+def test_point_arguments_out_of_range_raise():
+    p = FinitePoset.chain(3)
+    for x in (-1, p.n):
+        for reduce_at in (remove_point, osaki_open_reduction, osaki_closed_reduction):
+            with pytest.raises(IndexError, match=f"point {x} out of range for n=3"):
+                reduce_at(p, x)
+
+
 def test_flatten_seven_point_height3_classes(classes_upto):
     # every connected 7-point class of height 3 flattens (from a minimal
     # basepoint) to height <= 2 without losing rank

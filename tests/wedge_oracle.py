@@ -18,7 +18,7 @@ def wedge_models_by_enumeration(ns) -> dict[int, list[FinitePoset]]:
     sizes = {n: minimal_wedge_size(n) for n in ns}
     found: dict[int, list[FinitePoset]] = {n: [] for n in ns}
     for size in sorted(set(sizes.values())):
-        for p in enumerate_posets(size, max_points=size):
+        for p in enumerate_posets(size):
             if p.height != 2:
                 continue
             n = p.cover_count - size + 1
