@@ -37,6 +37,7 @@ from .models import (
     nh_suspension,
     sphere_model,
     verify_sphere_theorem,
+    verify_wedge_theorem,
     wedge_uniqueness_scan,
 )
 from .order_complex import (

@@ -21,14 +21,11 @@ from . import __version__
 from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
-    check_wedge_model,
     enumerate_posets,
-    enumerate_wedge_minimal_models,
     enumeration_stats,
-    is_square,
-    minimal_wedge_size,
     sphere_model,
     verify_sphere_theorem,
+    verify_wedge_theorem,
 )
 from .order_complex import euler_characteristic, poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
@@ -70,6 +67,10 @@ def _emit_json(obj) -> int:
     return 0
 
 
+def _beat_point(p, r) -> dict:
+    return {"point": p.label(r.element), "kind": r.kind, "witness": p.label(r.witness)}
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -84,10 +85,7 @@ def cmd_info(args) -> int:
         "euler": euler_characteristic(p),
         "b0": betti[0],
         "b1": betti[1] if len(betti) > 1 else 0,
-        "beat_points": [
-            {"point": p.label(r.element), "kind": r.kind, "witness": p.label(r.witness)}
-            for r in bps
-        ],
+        "beat_points": [_beat_point(p, r) for r in bps],
         "minimal": not bps,
     }
     if args.json:
@@ -112,14 +110,7 @@ def cmd_core(args) -> int:
     if args.json:
         return _emit_json(
             {
-                "removed": [
-                    {
-                        "point": p.label(r.element),
-                        "kind": r.kind,
-                        "witness": p.label(r.witness),
-                    }
-                    for r in trace.removed
-                ],
+                "removed": [_beat_point(p, r) for r in trace.removed],
                 "core_points": trace.final.n,
                 "core": emit(trace.final),
             }
@@ -249,7 +240,7 @@ def cmd_sphere(args) -> int:
 
 def cmd_verify_spheres(args) -> int:
     report = verify_sphere_theorem(args.max_h)
-    heights = sorted(report.equality_classes)
+    heights = range(1, report.max_height + 1)
     if args.json:
         _emit_json(
             {
@@ -260,7 +251,7 @@ def cmd_verify_spheres(args) -> int:
                     emit(p) for p in report.lower_bound_violations
                 ],
                 "equality_classes": {
-                    str(h): len(report.equality_classes[h]) for h in heights
+                    str(h): len(report.equality_classes.get(h, [])) for h in heights
                 },
                 "equality_violations": [emit(p) for p in report.equality_violations],
                 "confirmed": report.confirmed,
@@ -274,13 +265,10 @@ def cmd_verify_spheres(args) -> int:
     lb_ok = not report.lower_bound_violations
     print(f"every minimal non-singleton space has >= 2*height points: {_verdict(lb_ok)}")
     for h in heights:
-        classes = report.equality_classes[h]
-        good = len(classes) == 1 and not any(
-            p in report.equality_violations for p in classes
-        )
         print(
-            f"height {h}: {len(classes)} class(es) with exactly {2 * h} points, "
-            f"expected the {2 * h}-point sphere model alone: {_verdict(good)}"
+            f"height {h}: {len(report.equality_classes.get(h, []))} class(es) with "
+            f"exactly {2 * h} points, expected the {2 * h}-point sphere model alone: "
+            f"{_verdict(report.height_confirmed(h))}"
         )
     for p in report.lower_bound_violations + report.equality_violations:
         print("violator:")
@@ -292,48 +280,21 @@ def cmd_verify_spheres(args) -> int:
 def cmd_verify_wedges(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    rows = []
-    failures = []
-    for n in range(1, args.max_n + 1):
-        models = enumerate_wedge_minimal_models(n)
-        count = len(models)
-        size = minimal_wedge_size(n)
-        square = is_square(n)
-        ok = (count == 1) == square and count >= 1
-        for p in models:
-            cert = check_wedge_model(p, n)
-            if not (cert.connected and cert.b1 == n):
-                ok = False
-                failures.append(p)
-        codes = {p.canonical_form().code for p in models}
-        if {p.opposite().canonical_form().code for p in models} != codes:
-            ok = False
-        rows.append(
-            {
-                "n": n,
-                "size": size,
-                "edges": size + n - 1,
-                "models": count,
-                "square": square,
-                "unique": count == 1,
-                "ok": ok,
-            }
-        )
-    confirmed = all(r["ok"] for r in rows)
+    report = verify_wedge_theorem(args.max_n)
     if args.json:
-        _emit_json({"rows": rows, "confirmed": confirmed})
-        return 0 if confirmed else 1
+        _emit_json({"rows": [r._asdict() for r in report.rows], "confirmed": report.confirmed})
+        return 0 if report.confirmed else 1
     print(" n  size  edges  models  square  unique")
-    for r in rows:
+    for r in report.rows:
         print(
-            f"{r['n']:>2}  {r['size']:>4}  {r['edges']:>5}  {r['models']:>6}"
-            f"  {str(r['square']):<6}  {str(r['unique']):<6} {_verdict(r['ok'])}"
+            f"{r.n:>2}  {r.size:>4}  {r.edges:>5}  {r.models:>6}"
+            f"  {str(r.square):<6}  {str(r.unique):<6} {_verdict(r.ok)}"
         )
-    for p in failures:
+    for p in report.violators:
         print("violator:")
         print(emit(p), end="")
-    print("confirmed" if confirmed else "VIOLATED")
-    return 0 if confirmed else 1
+    print("confirmed" if report.confirmed else "VIOLATED")
+    return 0 if report.confirmed else 1
 
 
 def _parse_filter(spec: str):
@@ -398,23 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"finito {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, file=False):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if file:
+            sp.add_argument("file", nargs="?", default="-")
         return sp
 
-    sp = add("info", cmd_info, "size, height, invariants and beat points")
-    sp.add_argument("file", nargs="?", default="-")
-    sp = add("core", cmd_core, "beat-point removal trace and the core")
-    sp.add_argument("file", nargs="?", default="-")
-    sp = add("homology", cmd_homology, "Betti numbers and torsion of the order complex")
-    sp.add_argument("file", nargs="?", default="-")
-    sp = add("pi1", cmd_pi1, "fundamental group presentation")
-    sp.add_argument("file", nargs="?", default="-")
+    add("info", cmd_info, "size, height, invariants and beat points", file=True)
+    add("core", cmd_core, "beat-point removal trace and the core", file=True)
+    add("homology", cmd_homology, "Betti numbers and torsion of the order complex", file=True)
+    sp = add("pi1", cmd_pi1, "fundamental group presentation", file=True)
     sp.add_argument("--base", help="basepoint label (defaults to @base or first point)")
-    sp = add("osaki", cmd_osaki, "applicable open/closed quotient reductions per point")
-    sp.add_argument("file", nargs="?", default="-")
+    add("osaki", cmd_osaki, "applicable open/closed quotient reductions per point", file=True)
     sp = add("mccord", cmd_mccord, "basis-like cover criterion for a given map")
     sp.add_argument("src")
     sp.add_argument("dst")

@@ -4,8 +4,9 @@ Builds the standard small models (non-Hausdorff suspensions, sphere
 models, complete bipartite models of circle wedges), generates every
 minimal model of a wedge of circles, and enumerates all poset isomorphism
 classes of at most MAX_POINTS = 10 points to machine-check the sphere
-theorem on every space of those sizes.  Reports state their scope:
-nothing is claimed beyond the sizes scanned.
+theorem on every space of those sizes.  ``verify_sphere_theorem`` and
+``verify_wedge_theorem`` decide each theorem and return reports that state
+their scope: nothing is claimed beyond the sizes scanned.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import multiprocessing
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError
-from .order_complex import betti_numbers, euler_characteristic
-from .poset import CanonicalForm, FinitePoset
+from .order_complex import betti_numbers
+from .poset import FinitePoset
 from .reduction import is_minimal
 
 MAX_POINTS = 10  # the largest class size that enumeration accepts
@@ -72,13 +73,8 @@ def minimal_wedge_size(n: int) -> int:
         raise ValueError("the wedge needs at least one circle")
     direct = min(i + (n + i - 2) // (i - 1) + 1 for i in range(2, n + 2))
     even = 2 * (_ceil_sqrt(n) + 1)
-    # odd candidate: smallest k with (2k-1)^2 >= 1+4n gives 2k+1 points
-    k = (1 + isqrt(1 + 4 * n)) // 2
-    while (2 * k - 1) ** 2 < 1 + 4 * n:
-        k += 1
-    while k > 1 and (2 * (k - 1) - 1) ** 2 >= 1 + 4 * n:
-        k -= 1
-    odd = 2 * k + 1
+    # odd candidate: the smallest k with 2k-1 >= sqrt(1+4n) gives 2k+1 points
+    odd = 2 * ((_ceil_sqrt(1 + 4 * n) + 2) // 2) + 1
     closed = min(even, odd)
     if direct != closed:
         raise AssertionError(f"size formula mismatch at n={n}: {direct} != {closed}")
@@ -126,26 +122,6 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
 # -- exhaustive enumeration -----------------------------------------------------
 
 
-def _rows_from_code(code: bytes) -> tuple[int, ...]:
-    """Rebuild the canonically labeled relation from a fingerprint."""
-    n = int.from_bytes(code[:2], "big")
-    enc = int.from_bytes(code[2:], "big")
-    rows = [1 << i for i in range(n)]
-    bitpos = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            bitpos -= 1
-            if (enc >> bitpos) & 1:
-                rows[i] |= 1 << j
-    return tuple(rows)
-
-
-def _poset_from_code(code: bytes) -> FinitePoset:
-    p = FinitePoset._trusted(_rows_from_code(code))
-    p._canon = CanonicalForm(code)
-    return p
-
-
 def _children_codes(code: bytes) -> list[bytes]:
     """Canonical codes of the classes whose canonical parent is this class.
 
@@ -159,7 +135,7 @@ def _children_codes(code: bytes) -> list[bytes]:
     Each class thus comes from exactly one parent class; isomorphic
     children of this parent are merged here.
     """
-    parent = _poset_from_code(code)
+    parent = FinitePoset._from_code(code)
     rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
     best = max(zip(levels, (d.bit_count() for d in down)))
     # canonical rows are a linear extension: a point may join an ideal once
@@ -226,7 +202,7 @@ def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
     for level in _levels(k, workers):
         pass
     for code in level:
-        yield _poset_from_code(code)
+        yield FinitePoset._from_code(code)
 
 
 @dataclass
@@ -277,16 +253,15 @@ class SphereTheoremReport:
     equality_classes: dict[int, list[FinitePoset]] = field(default_factory=dict)
     equality_violations: list[FinitePoset] = field(default_factory=list)
 
+    def height_confirmed(self, h: int) -> bool:
+        """Exactly one minimal class of height h has 2h points: the sphere model."""
+        classes = self.equality_classes.get(h, [])
+        return len(classes) == 1 and classes[0] not in self.equality_violations
+
     @property
     def confirmed(self) -> bool:
-        heights_ok = all(
-            len(self.equality_classes.get(h, [])) == 1
-            for h in range(1, self.max_height + 1)
-        )
-        return (
-            not self.lower_bound_violations
-            and not self.equality_violations
-            and heights_ok
+        return not self.lower_bound_violations and all(
+            self.height_confirmed(h) for h in range(1, self.max_height + 1)
         )
 
 
@@ -304,7 +279,7 @@ def verify_sphere_theorem(h: int) -> SphereTheoremReport:
         )
     report = SphereTheoremReport(max_height=h, points_scanned=2 * h)
     for code in chain.from_iterable(_levels(2 * h)):
-        p = _poset_from_code(code)
+        p = FinitePoset._from_code(code)
         report.classes_scanned += 1
         if p.n < 2 or not is_minimal(p):
             continue
@@ -318,8 +293,10 @@ def verify_sphere_theorem(h: int) -> SphereTheoremReport:
 
 
 def enumerate_wedge_minimal_models(n: int) -> list[FinitePoset]:
-    """All classes satisfying the three wedge-model conditions for n circles,
-    as canonical representatives in code order, the order of enumeration.
+    """Every class of the height-2 edge sets that the three wedge-model
+    conditions allow for n circles, as canonical representatives in code
+    order, the order of enumeration.  Nothing is filtered here:
+    ``verify_wedge_theorem`` certifies each class.
 
     A model has ``minimal_wedge_size(n)`` points, height 2 and size + n - 1
     covers (Barmak & Minian): with j minimal points under i maximal ones it
@@ -340,16 +317,62 @@ def enumerate_wedge_minimal_models(n: int) -> list[FinitePoset]:
             for b, bit in missing:
                 rows[b] ^= bit
             codes.add(FinitePoset._trusted(tuple(rows)).canonical_form().code)
-    models = map(_poset_from_code, sorted(codes))
-    return [p for p in models if check_wedge_model(p, n).all_satisfied]
+    return list(map(FinitePoset._from_code, sorted(codes)))
+
+
+class WedgeRow(NamedTuple):
+    """One n of a wedge scan: model size, edge count, classes, verdict."""
+
+    n: int
+    size: int
+    edges: int
+    models: int
+    square: bool
+    unique: bool
+    ok: bool
+
+
+@dataclass
+class WedgeTheoremReport:
+    """One row per wedge of n circles scanned; every class found that is no model."""
+
+    rows: list[WedgeRow] = field(default_factory=list)
+    violators: list[FinitePoset] = field(default_factory=list)
+
+    @property
+    def confirmed(self) -> bool:
+        return bool(self.rows) and all(r.ok for r in self.rows)
+
+
+def verify_wedge_theorem(max_n: int) -> WedgeTheoremReport:
+    """Certify each class of ``enumerate_wedge_minimal_models(n)`` once, for
+    n = 1..max_n (at least 1).  A class is a violator unless its certificate
+    holds, it is connected with b1 = n and its opposite class is found too;
+    a row holds with no violator and one class exactly when n is a square."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    report = WedgeTheoremReport()
+    for n in range(1, max_n + 1):
+        models = enumerate_wedge_minimal_models(n)
+        codes = {p.canonical_form().code for p in models}
+        bad = [
+            p for p in models
+            if not (cert := check_wedge_model(p, n)).all_satisfied
+            or not cert.connected or cert.b1 != n
+            or p.opposite().canonical_form().code not in codes
+        ]
+        report.violators += bad
+        size, count, square = minimal_wedge_size(n), len(models), is_square(n)
+        ok = not bad and count >= 1 and (count == 1) == square
+        report.rows.append(WedgeRow(n, size, size + n - 1, count, square, count == 1, ok))
+    return report
 
 
 def wedge_uniqueness_scan(max_n: int) -> list[tuple[int, int]]:
-    """(n, number of minimal-model classes) for n = 1..max_n; the count is
-    1 exactly when n is a perfect square."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    return [(n, len(enumerate_wedge_minimal_models(n))) for n in range(1, max_n + 1)]
+    """(n, number of minimal-model classes) for n = 1..max_n, read off the
+    rows of ``verify_wedge_theorem``; the count is 1 exactly when n is a
+    perfect square."""
+    return [(r.n, r.models) for r in verify_wedge_theorem(max_n).rows]
 
 
 def is_square(n: int) -> bool:

@@ -169,16 +169,15 @@ def spanning_tree(p: FinitePoset, x0: int) -> frozenset[tuple[int, int]]:
     _check_point(p, x0)
     if not p.is_connected():
         raise NotConnectedError("the space is not connected")
-    seen = {x0}
+    seen = 1 << x0
     tree = set()
     queue = deque([x0])
     while queue:
         v = queue.popleft()
-        for w in range(p.n):
-            if w not in seen and w != v and p.comparable(v, w):
-                seen.add(w)
-                tree.add((min(v, w), max(v, w)))
-                queue.append(w)
+        for w in _bits((p.up[v] | p.down[v]) & ~seen):
+            seen |= 1 << w
+            tree.add((min(v, w), max(v, w)))
+            queue.append(w)
     return frozenset(tree)
 
 
@@ -223,13 +222,12 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     for x in range(p.n):
         for y in _bits(strict_up[x]):
             for z in _bits(strict_up[y]):
-                word = free_reduce(
+                relators.append(
                     _edge_letter(p, tree, gen_index, x, y)
                     + _edge_letter(p, tree, gen_index, y, z)
                     + invert_word(_edge_letter(p, tree, gen_index, x, z))
                 )
-                if word:
-                    relators.append(word)
+    # GroupPresentation reduces each word and drops the empty ones
     return GroupPresentation(len(gen_index), tuple(relators))
 
 
@@ -331,10 +329,12 @@ def free_rank(pres: GroupPresentation) -> int | None:
 def first_betti(p: FinitePoset) -> int:
     """Rank of the abelianized fundamental group (equals homology b1)."""
     pres = edge_path_presentation(p, 0)
-    if not pres.relators:
-        return pres.generators
-    matrix = [abelianized(rel, pres.generators) for rel in pres.relators]
-    return pres.generators - matrix_rank(matrix)
+    # each relator's exponent row, as a sparse {generator: exponent} map
+    rows = [
+        {g: e for g in set(map(abs, rel)) if (e := rel.count(g) - rel.count(-g))}
+        for rel in pres.relators
+    ]
+    return pres.generators - matrix_rank(rows)
 
 
 def abelianized(word, generators: int) -> list[int]:

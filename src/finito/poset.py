@@ -338,6 +338,23 @@ class FinitePoset:
     # point with the largest (level, down-set size).  None while unknown.
     _canon_last: int | None = None
 
+    @classmethod
+    def _from_code(cls, code: bytes) -> "FinitePoset":
+        """The canonically labelled representative that a code of
+        ``canonical_form`` encodes, carrying that code."""
+        n = int.from_bytes(code[:2], "big")
+        enc = int.from_bytes(code[2:], "big")
+        rows = [1 << i for i in range(n)]
+        bitpos = n * (n - 1) // 2
+        for i in range(n):
+            for j in range(i + 1, n):
+                bitpos -= 1
+                if (enc >> bitpos) & 1:
+                    rows[i] |= 1 << j
+        p = cls._trusted(rows)
+        p._canon = CanonicalForm(code)
+        return p
+
     def is_homeomorphic(self, other: "FinitePoset") -> bool:
         """Order isomorphism, i.e. homeomorphism of the T0 spaces."""
         return self.n == other.n and self.canonical_form() == other.canonical_form()

@@ -115,8 +115,8 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     return [1] * units + factors
 
 
-def matrix_rank(matrix: list[list[int]]) -> int:
-    """Rank of a row-list matrix, its rows taken as the sparse columns of
-    the transpose, which has the same rank."""
-    columns = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    return len(smith_invariant_factors(columns))
+def matrix_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of a sparse integer matrix given by rows, each mapping column
+    indices to its nonzero entries.  The rows serve as the sparse columns
+    of the transpose, which has the same rank."""
+    return len(smith_invariant_factors(rows))

@@ -5,7 +5,7 @@ import pytest
 
 import finito
 from finito import FinitePoset
-from finito.models import _levels, _poset_from_code
+from finito.models import _levels
 
 CENSUS_POINTS = 8
 
@@ -42,7 +42,7 @@ def classes_upto():
         if not 1 <= k <= CENSUS_POINTS:
             raise ValueError(f"k must be in 1..{CENSUS_POINTS}, got {k}")
         while len(levels) < k:
-            levels.append(tuple(map(_poset_from_code, next(stream))))
+            levels.append(tuple(map(FinitePoset._from_code, next(stream))))
         return [p for level in levels[:k] for p in level]
 
     return upto

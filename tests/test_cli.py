@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import finito.cli
+from finito import FinitePoset, models, verify_wedge_theorem, wedge_uniqueness_scan
 from finito.cli import main
 
 COUNTER = """\
@@ -188,6 +190,54 @@ def test_wedge_scan_past_the_enumeration_cap(capsys):
     assert [r["models"] for r in data["rows"]] == [
         1, 2, 3, 1, 2, 2, 5, 3, 1, 8, 2, 2, 12, 5, 3, 1,
     ]
+    assert data["rows"] == [r._asdict() for r in verify_wedge_theorem(16).rows]
+    assert wedge_uniqueness_scan(16) == [(r["n"], r["models"]) for r in data["rows"]]
+
+
+def test_one_certificate_per_wedge_model(capsys, monkeypatch):
+    calls = []
+    real = models.check_wedge_model
+    monkeypatch.setattr(
+        models, "check_wedge_model", lambda p, n: calls.append(n) or real(p, n)
+    )
+    code, out, _ = run(capsys, "verify", "wedges", "--max-n", "9")
+    assert code == 0
+    assert len(calls) == 20  # the model counts 1, 2, 3, 1, 2, 2, 5, 3, 1
+
+
+def test_wedge_violator_is_printed(capsys, monkeypatch):
+    real = models.enumerate_wedge_minimal_models
+    # the circle model beside an isolated point: disconnected, 4 covers
+    extra = FinitePoset.from_cover_pairs(5, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    monkeypatch.setattr(
+        models, "enumerate_wedge_minimal_models", lambda n: real(n) + [extra] * (n == 2)
+    )
+    code, out, _ = run(capsys, "verify", "wedges", "--max-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2].startswith(" 2") and lines[2].endswith("FAILED")
+    assert lines[4] == "violator:" and lines[-1] == "VIOLATED"
+
+
+def test_sphere_height_without_a_class_is_printed(capsys, monkeypatch):
+    real = finito.cli.verify_sphere_theorem
+
+    def without_height_2(h):
+        report = real(h)
+        del report.equality_classes[2]
+        return report
+
+    monkeypatch.setattr(finito.cli, "verify_sphere_theorem", without_height_2)
+    code, out, _ = run(capsys, "verify", "spheres", "--max-h", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3].startswith("height 2: 0 class(es)") and lines[3].endswith("FAILED")
+    assert lines[4].startswith("height 3:") and lines[4].endswith("ok")
+    assert lines[-1] == "VIOLATED"
+    code, out, _ = run(capsys, "verify", "spheres", "--max-h", "3", "--json")
+    data = json.loads(out)
+    assert code == 1 and data["confirmed"] is False
+    assert data["equality_classes"] == {"1": 1, "2": 0, "3": 1}
 
 
 def test_enumeration_limit_is_named(capsys):

@@ -23,6 +23,7 @@ from finito import (
     nh_suspension,
     sphere_model,
     verify_sphere_theorem,
+    verify_wedge_theorem,
     wedge_uniqueness_scan,
 )
 from finito import models
@@ -203,6 +204,14 @@ def test_verify_sphere_theorem_h2():
         verify_sphere_theorem(6)
 
 
+def test_sphere_report_fails_a_height_without_its_class():
+    report = verify_sphere_theorem(2)
+    assert report.height_confirmed(1) and report.height_confirmed(2)
+    del report.equality_classes[2]
+    assert not report.height_confirmed(2)
+    assert not report.confirmed
+
+
 def test_wedge_minimal_models_small():
     models = enumerate_wedge_minimal_models(1)
     assert len(models) == 1 and models[0].is_homeomorphic(sphere_model(1))
@@ -237,6 +246,27 @@ def test_wedge_uniqueness_scan():
     assert scan == [(1, 1), (2, 2), (3, 3), (4, 1), (5, 2), (6, 2)]
     for n, count in scan:
         assert (count == 1) == is_square(n)
+
+
+def test_wedge_report_lists_a_failing_class(monkeypatch):
+    real = enumerate_wedge_minimal_models
+    # the circle model beside an isolated point: disconnected, 4 covers
+    extra = FinitePoset.from_cover_pairs(5, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    monkeypatch.setattr(
+        models, "enumerate_wedge_minimal_models", lambda n: real(n) + [extra] * (n == 2)
+    )
+    report = verify_wedge_theorem(3)
+    assert not report.confirmed
+    assert report.violators == [extra]
+    assert [(r.models, r.ok) for r in report.rows] == [(1, True), (3, False), (3, True)]
+
+
+def test_wedge_report_lists_a_class_whose_opposite_is_missing(monkeypatch):
+    real = enumerate_wedge_minimal_models
+    monkeypatch.setattr(models, "enumerate_wedge_minimal_models", lambda n: real(n)[:1])
+    report = verify_wedge_theorem(2)
+    assert report.violators == real(2)[:1]
+    assert [r.ok for r in report.rows] == [True, False] and not report.confirmed
 
 
 def test_wedge_uniqueness_scan_needs_a_wedge():

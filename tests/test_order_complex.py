@@ -200,7 +200,8 @@ def test_smith_invariant_factors_known():
         ([[2, 0], [0, 2]], [2, 2]),
     ]:
         assert smith_invariant_factors(sparse_columns(m)) == want == dense_invariant_factors(m)
-    assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
+    # rows of [[1, 2, 3], [2, 4, 6], [1, 1, 1]] as {column: entry} maps
+    assert matrix_rank([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {0: 1, 1: 1, 2: 1}]) == 2
 
 
 def test_sparse_kernel_matches_dense_snf(classes_upto):

@@ -41,3 +41,17 @@ def test_every_required_name_resolves_where_the_tracer_wraps_it():
             cls = vars(module)[cls_name]
             raw = vars(cls).get(attr)
             assert isinstance(raw, (types.FunctionType, classmethod)), name
+
+
+def test_names_the_self_check_binds_resolve():
+    """``selfcheck.check_tracing`` reads these functions where their callers
+    bind them and expects the tracer to have wrapped them there, so each
+    must be the public function of the module that defines it."""
+    for where, name, home in (
+        ("cli", "core", "reduction"),
+        ("pi1", "matrix_rank", "snf"),
+        ("order_complex", "smith_invariant_factors", "snf"),
+    ):
+        value = getattr(importlib.import_module(f"finito.{where}"), name)
+        assert value is vars(importlib.import_module(f"finito.{home}"))[name], name
+        assert isinstance(value, types.FunctionType) and not name.startswith("_")
