@@ -2,11 +2,11 @@
 
 Exit codes: 0 for success and confirmed verifications, 1 for a violated
 verification or failed check (the violator is printed), 2 for input
-errors.  Every subcommand takes --json for a machine-readable mirror of
-the text output.  NO_COLOR disables ANSI styling.  ``enumerate`` and
-``verify spheres`` enumerate classes of at most 10 points and refuse a
-larger request before any work.  ``python -m finito`` is equivalent to
-the installed ``finito`` command.
+errors, 141 (128 + SIGPIPE) with nothing printed when the reader of
+standard output closes it early, as ``head`` does.  Every subcommand
+takes --json for a machine-readable mirror of the text output.  NO_COLOR
+disables ANSI styling.  ``enumerate`` and ``verify spheres`` refuse more
+than 10 points before any work.  ``python -m finito`` runs as ``finito``.
 """
 
 from __future__ import annotations
@@ -408,7 +408,13 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # else the flush at interpreter exit raises again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FinitoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 Builds the standard small models (non-Hausdorff suspensions, sphere
 models, complete bipartite models of circle wedges), generates every
-minimal model of a wedge of circles, and enumerates all poset isomorphism
-classes of at most MAX_POINTS = 10 points to machine-check the sphere
-theorem on every space of those sizes.  ``verify_sphere_theorem`` and
+minimal model of a wedge of circles, and generates depth first, each once,
+the poset classes of at most MAX_POINTS = 10 points to machine-check the
+sphere theorem on every space of those sizes.  ``verify_sphere_theorem`` and
 ``verify_wedge_theorem`` decide each theorem and return reports that state
 their scope: nothing is claimed beyond the sizes scanned.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
@@ -122,86 +123,82 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
 # -- exhaustive enumeration -----------------------------------------------------
 
 
-def _children_codes(code: bytes) -> list[bytes]:
-    """Canonical codes of the classes whose canonical parent is this class.
-
-    A child adds one maximal point t above an ideal (down-set) of the
-    parent's canonical rows; its canonical parent is the child minus the
-    point its canonical labelling puts last.  That point is maximal with the
-    largest key (level, |down|), so a child where t has a smaller key than
-    the parent's largest is rejected before any labelling, one where t has
-    a larger key is accepted, and on a tie the child is accepted if its
-    labelling ends at t or deleting its last point gives back this class.
-    Each class thus comes from exactly one parent class; isomorphic
-    children of this parent are merged here.
-    """
-    parent = FinitePoset._from_code(code)
+def _children(parent: FinitePoset) -> list[FinitePoset]:
+    """The classes whose canonical parent is this class, each built once:
+    the parent's rows plus a maximal point t above an ideal, with ``down``,
+    ``levels`` and the canonical code set.  So from the one-point class on,
+    rows are a linear extension, all that listing the ideals needs.  The
+    canonical parent of a child is the child less the maximal point of
+    largest key (level, |down|) that its labelling puts last.  So a t of
+    smaller key than the parent's largest is rejected unlabelled, a larger
+    one accepted, and on a tie the child is accepted if its labelling ends
+    at t or its canonical parent is this class; isomorphic ones merge here."""
     rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
     best = max(zip(levels, (d.bit_count() for d in down)))
-    # canonical rows are a linear extension: a point may join an ideal once
-    # its strict down-set is in, and that set is decided by then
+    # a point may join an ideal once its strict down-set, decided by then, is in
     ideals = [(0, 0)]  # (mask, highest level in it)
     for x in range(n):
         below = down[x] ^ (1 << x)
         ideals += [(m | 1 << x, max(h, levels[x])) for m, h in ideals if not below & ~m]
     top = 1 << n
-    found: set[bytes] = set()
-    rejected: set[bytes] = set()
+    seen, accepted = set(), []
     for ideal, high in ideals:
         key = (high + 1, ideal.bit_count() + 1)
         if key < best:
             continue
         child = FinitePoset._trusted(
-            tuple(row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows))
-            + (top,)
-        )
+            [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
         child.__dict__["down"] = down + (ideal | top,)
         child.__dict__["levels"] = levels + (key[0],)
-        child_code = child.canonical_form().code
-        if child_code in found or child_code in rejected:
+        code = child.canonical_form().code
+        if code in seen:
             continue
+        seen.add(code)
         last = child._canon_last
-        if key > best or last == n or (
-            child.subposet([x for x in range(n + 1) if x != last]).canonical_form().code
-            == code
-        ):
-            found.add(child_code)
-        else:
-            rejected.add(child_code)
-    return list(found)
+        if key > best or last == n or child.subposet(
+            [x for x in range(n + 1) if x != last]
+        ).canonical_form() == parent._canon:
+            accepted.append(child)
+    return accepted
 
 
-def _levels(k: int, workers: int = 1) -> Iterator[tuple[bytes, ...]]:
-    """Sorted canonical codes of the classes with 1, 2, ..., k points, level
-    by level, keeping only the last; k beyond MAX_POINTS raises before any
-    work.  Each class lists the children whose canonical parent it is, so
-    the lists are disjoint and are concatenated with no merge.  With several
-    workers a forked pool splits the parents of each level."""
+def _walk(k: int, p: FinitePoset | None = None) -> Iterator[FinitePoset]:
+    """Every class with at most k points depth first, from the one-point
+    class or only p and those below it, holding just the children of the
+    current path.  A k beyond MAX_POINTS raises first, on every entry."""
     if k > MAX_POINTS:
-        raise CapExceededError(
-            f"k={k} exceeds the enumeration limit of {MAX_POINTS} points"
-        )
-    level = (FinitePoset((1,)).canonical_form().code,)
-    yield level
-    for _ in range(1, k):
-        if workers > 1 and len(level) >= 32:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_children_codes, level)
-        else:
-            parts = map(_children_codes, level)
-        level = tuple(sorted(chain.from_iterable(parts)))
-        yield level
+        raise CapExceededError(f"k={k} exceeds the enumeration limit of {MAX_POINTS} points")
+    if p is None:
+        p = FinitePoset._trusted((1,))
+        p.canonical_form()
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        yield p
+        if p.n < k:
+            stack += _children(p)
+
+
+def _top_codes(k: int, p: FinitePoset | None = None) -> list[bytes]:
+    return [q._canon.code for q in _walk(k, p) if q.n == k]
 
 
 def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
     """One canonically labeled representative per isomorphism class of
-    k-point posets, in canonical-form order, for k from 1 to MAX_POINTS.
-    Each call builds the levels 1..k afresh; nothing is kept between calls."""
+    k-point posets, in code order, for k from 1 to MAX_POINTS; only their
+    codes are sorted and decoded.  Several workers walk in one forked pool
+    the subtrees of the first size with 32 classes a worker, or k - 1 points."""
     if k < 1:
         raise ValueError("k must be positive")
-    for level in _levels(k, workers):
-        pass
-    for code in level:
+    if workers == 1:
+        parts = [_top_codes(k)]
+    else:
+        frontier = [next(_walk(k))]  # the one-point class
+        while len(frontier) < 32 * workers and frontier[0].n < k - 1:
+            frontier = [c for p in frontier for c in _children(p)]
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(partial(_top_codes, k), frontier)
+    for code in sorted(chain.from_iterable(parts)):
         yield FinitePoset._from_code(code)
 
 
@@ -266,20 +263,17 @@ class SphereTheoremReport:
 
 
 def verify_sphere_theorem(h: int) -> SphereTheoremReport:
-    """Check every class with <= 2h points: a beat-point-free non-singleton
-    space has at least twice its height many points, and the equality cases
-    are exactly the standard sphere models, one class per height.  h runs
-    from 2 to MAX_POINTS // 2; a larger h raises CapExceededError."""
+    """Check each class with <= 2h points as the depth-first walk builds it,
+    decoding none (the report lists classes as built): a beat-point-free
+    non-singleton space has at least twice its height many points, and the
+    equality cases are exactly the sphere models.  2 <= h <= MAX_POINTS // 2."""
     if h < 2:
         raise ValueError("verification starts at height 2")
     if 2 * h > MAX_POINTS:
-        raise CapExceededError(
-            f"max height {h} needs {2 * h} points, beyond the enumeration limit"
-            f" of {MAX_POINTS} points"
-        )
+        raise CapExceededError(f"max height {h} needs {2 * h} points, beyond the"
+                               f" enumeration limit of {MAX_POINTS} points")
     report = SphereTheoremReport(max_height=h, points_scanned=2 * h)
-    for code in chain.from_iterable(_levels(2 * h)):
-        p = FinitePoset._from_code(code)
+    for p in _walk(2 * h):
         report.classes_scanned += 1
         if p.n < 2 or not is_minimal(p):
             continue

@@ -5,7 +5,7 @@ import pytest
 
 import finito
 from finito import FinitePoset
-from finito.models import _levels
+from finito.models import _walk
 
 CENSUS_POINTS = 8
 
@@ -32,17 +32,20 @@ def classes_upto():
     points (k <= 8), size by size in canonical-code order, the order that
     ``enumerate_posets(1)``, ..., ``enumerate_posets(k)`` give them in.
 
-    The levels come from one pass over the enumeration, built as far as
-    the largest k asked for and shared by every test of the session.
+    The classes come from one depth-first pass over the enumeration to the
+    largest k asked for so far, grouped by size, sorted by code, decoded
+    and shared by every test of the session.
     """
-    stream = _levels(CENSUS_POINTS)
     levels = []
 
     def upto(k):
         if not 1 <= k <= CENSUS_POINTS:
             raise ValueError(f"k must be in 1..{CENSUS_POINTS}, got {k}")
-        while len(levels) < k:
-            levels.append(tuple(map(FinitePoset._from_code, next(stream))))
+        if len(levels) < k:
+            codes = [[] for _ in range(k)]
+            for p in _walk(k):
+                codes[p.n - 1].append(p.canonical_form().code)
+            levels[:] = [tuple(map(FinitePoset._from_code, sorted(c))) for c in codes]
         return [p for level in levels[:k] for p in level]
 
     return upto

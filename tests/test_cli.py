@@ -168,7 +168,7 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_workers_out_of_range_is_an_input_error(capsys):
-    # the levels of k = 3 stay below the size at which a pool is forked
+    # refused before any work, so no pool is forked
     for workers in (0, os.cpu_count() + 1):
         code, out, err = run(capsys, "enumerate", "3", "--workers", str(workers), "--json")
         assert code == 2 and out == ""
@@ -306,6 +306,23 @@ def test_installed_pipeline(cli_env):
     assert proc.returncode == 0, proc.stderr
     assert "points      4" in proc.stdout
     assert "euler       0" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly(cli_env):
+    # about 120 kB of output: more than the pipe and both buffers hold, so
+    # the writer is still printing when the reader goes
+    with subprocess.Popen(
+        [sys.executable, "-m", "finito", "enumerate", "7", "--emit", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env,
+        bufsize=0,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_stdin_dash(capsys, monkeypatch):

@@ -312,11 +312,37 @@ def test_class_counts_match_oeis():
 
 @pytest.mark.slow
 def test_class_count_nine_points():
-    assert sum(1 for _ in enumerate_posets(9)) == A000112[9]
+    # with two workers the subtrees are split at 6 points, a real depth
+    serial, parallel = (
+        [p.canonical_form().code for p in enumerate_posets(9, workers=workers)]
+        for workers in (1, 2)
+    )
+    assert len(serial) == A000112[9]
+    assert serial == parallel
+
+
+def stream_codes(k):
+    """Sorted canonical codes of the classes with 1, ..., k points, size by
+    size, from one depth-first pass."""
+    codes = [[] for _ in range(k)]
+    for p in models._walk(k):
+        codes[p.n - 1].append(p.canonical_form().code)
+    return [tuple(sorted(c)) for c in codes]
 
 
 def test_enumeration_matches_extension_oracle():
-    assert oracle_codes(7) == list(models._levels(7))
+    assert oracle_codes(7) == stream_codes(7)
+
+
+def test_built_classes_carry_their_order():
+    # the children of a class are built from its preset down, levels, rows
+    # and code, never recomputed
+    for p in models._walk(7):
+        fresh = FinitePoset._trusted(p.up)
+        assert p.down == fresh.down and p.levels == fresh.levels
+        assert all(row & ((1 << x) - 1) == 0 for x, row in enumerate(p.up))
+        FinitePoset(p.up)
+        assert p.canonical_form() == fresh.canonical_form()
 
 
 def test_canonical_last_point_has_the_largest_key(classes_upto):
@@ -333,12 +359,10 @@ def test_canonical_last_point_has_the_largest_key(classes_upto):
 
 
 def test_each_class_has_one_canonical_parent():
-    levels = list(models._levels(7))
-    for parents, level in zip(levels, levels[1:]):
-        accepted = Counter(
-            child
-            for parent in parents
-            for child in models._children_codes(parent)
-        )
+    parents = [next(models._walk(1))]
+    for level in stream_codes(7)[1:]:
+        children = [child for parent in parents for child in models._children(parent)]
+        accepted = Counter(child.canonical_form().code for child in children)
         assert set(accepted) == set(level)
         assert max(accepted.values()) == 1
+        parents = children
