@@ -247,6 +247,7 @@ def cmd_verify_spheres(args) -> int:
                 "max_height": report.max_height,
                 "points_scanned": report.points_scanned,
                 "classes_scanned": report.classes_scanned,
+                "classes_per_size": report.classes_per_size,
                 "lower_bound_violations": [
                     emit(p) for p in report.lower_bound_violations
                 ],
@@ -270,6 +271,9 @@ def cmd_verify_spheres(args) -> int:
             f"exactly {2 * h} points, expected the {2 * h}-point sphere model alone: "
             f"{_verdict(report.height_confirmed(h))}"
         )
+    counts = ", ".join(map(str, report.classes_per_size.values()))
+    print(f"classes per size 1..{report.points_scanned}: {counts},"
+          f" expected OEIS A000112: {_verdict(report.counts_confirmed)}")
     for p in report.lower_bound_violations + report.equality_violations:
         print("violator:")
         print(emit(p), end="")

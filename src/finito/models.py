@@ -25,6 +25,9 @@ from .reduction import is_minimal
 
 MAX_POINTS = 10  # the largest class size that enumeration accepts
 
+# OEIS A000112: poset classes with k points, k = 0..MAX_POINTS.
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
+
 
 # -- constructions -------------------------------------------------------------
 
@@ -125,15 +128,23 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
 
 def _children(parent: FinitePoset) -> list[FinitePoset]:
     """The classes whose canonical parent is this class, each built once:
-    the parent's rows plus a maximal point t above an ideal, with ``down``,
-    ``levels`` and the canonical code set.  So from the one-point class on,
-    rows are a linear extension, all that listing the ideals needs.  The
-    canonical parent of a child is the child less the maximal point of
-    largest key (level, |down|) that its labelling puts last.  So a t of
-    smaller key than the parent's largest is rejected unlabelled, a larger
-    one accepted, and on a tie the child is accepted if its labelling ends
-    at t or its canonical parent is this class; isomorphic ones merge here."""
+    the parent's rows plus a maximal point t above an ideal, with ``down``
+    and ``levels`` set.  So from the one-point class on, rows are a linear
+    extension, all that listing the ideals needs.  The canonical parent of
+    a child is the child less the maximal point of largest key (level,
+    |down|) that its labelling puts last.  The parent is labelled once on
+    entry, for its code and generators of its automorphism group.
+
+    A t of smaller key than the parent's largest is rejected unlabelled.  A
+    t of larger key is the child's one point of largest key, so the child's
+    canonical parent is this class, and two such children are isomorphic
+    exactly when their ideals lie in one orbit of Aut(parent): the first
+    ideal of each orbit is accepted, unlabelled, its code left to
+    ``canonical_form``.  On a tie the child is labelled and accepted if its
+    labelling ends at t or its canonical parent is this class; isomorphic
+    ones merge here by code."""
     rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
+    generators = parent._label()
     best = max(zip(levels, (d.bit_count() for d in down)))
     # a point may join an ideal once its strict down-set, decided by then, is in
     ideals = [(0, 0)]  # (mask, highest level in it)
@@ -141,21 +152,32 @@ def _children(parent: FinitePoset) -> list[FinitePoset]:
         below = down[x] ^ (1 << x)
         ideals += [(m | 1 << x, max(h, levels[x])) for m, h in ideals if not below & ~m]
     top = 1 << n
-    seen, accepted = set(), []
+    taken, seen, accepted = set(), set(), []  # ideals of orbits met, tie codes
     for ideal, high in ideals:
         key = (high + 1, ideal.bit_count() + 1)
-        if key < best:
+        if key < best or ideal in taken:
             continue
         child = FinitePoset._trusted(
             [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
         child.__dict__["down"] = down + (ideal | top,)
         child.__dict__["levels"] = levels + (key[0],)
+        if key > best:
+            taken.add(ideal)
+            orbit = [ideal]
+            for mask in orbit:
+                for g in generators:
+                    image = sum(1 << g[x] for x in range(n) if (mask >> x) & 1)
+                    if image not in taken:
+                        taken.add(image)
+                        orbit.append(image)
+            accepted.append(child)
+            continue
         code = child.canonical_form().code
         if code in seen:
             continue
         seen.add(code)
         last = child._canon_last
-        if key > best or last == n or child.subposet(
+        if last == n or child.subposet(
             [x for x in range(n + 1) if x != last]
         ).canonical_form() == parent._canon:
             accepted.append(child)
@@ -170,7 +192,6 @@ def _walk(k: int, p: FinitePoset | None = None) -> Iterator[FinitePoset]:
         raise CapExceededError(f"k={k} exceeds the enumeration limit of {MAX_POINTS} points")
     if p is None:
         p = FinitePoset._trusted((1,))
-        p.canonical_form()
     stack = [p]
     while stack:
         p = stack.pop()
@@ -180,7 +201,7 @@ def _walk(k: int, p: FinitePoset | None = None) -> Iterator[FinitePoset]:
 
 
 def _top_codes(k: int, p: FinitePoset | None = None) -> list[bytes]:
-    return [q._canon.code for q in _walk(k, p) if q.n == k]
+    return [q.canonical_form().code for q in _walk(k, p) if q.n == k]
 
 
 def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
@@ -240,41 +261,56 @@ class SphereTheoremReport:
     Scope: every isomorphism class with at most 2*max_height points.  The
     sphere statement itself concerns all spaces with the homotopy groups
     of a sphere; this report checks its combinatorial core on every finite
-    space scanned plus the homology of the standard models.
+    space scanned plus the homology of the standard models.  No verdict
+    holds unless the classes scanned of each size number as many as OEIS
+    A000112 lists, so a walk that loses a class cannot confirm.
     """
 
     max_height: int
     points_scanned: int
     classes_scanned: int = 0
+    classes_per_size: dict[int, int] = field(default_factory=dict)
     lower_bound_violations: list[FinitePoset] = field(default_factory=list)
     equality_classes: dict[int, list[FinitePoset]] = field(default_factory=dict)
     equality_violations: list[FinitePoset] = field(default_factory=list)
 
+    @property
+    def counts_confirmed(self) -> bool:
+        """The classes scanned of each size 1..points_scanned match A000112."""
+        return all(self.classes_per_size.get(k, 0) == A000112[k]
+                   for k in range(1, self.points_scanned + 1))
+
     def height_confirmed(self, h: int) -> bool:
-        """Exactly one minimal class of height h has 2h points: the sphere model."""
+        """Exactly one minimal class of height h has 2h points: the sphere
+        model, among class counts that match A000112."""
         classes = self.equality_classes.get(h, [])
-        return len(classes) == 1 and classes[0] not in self.equality_violations
+        return (self.counts_confirmed and len(classes) == 1
+                and classes[0] not in self.equality_violations)
 
     @property
     def confirmed(self) -> bool:
-        return not self.lower_bound_violations and all(
+        return self.counts_confirmed and not self.lower_bound_violations and all(
             self.height_confirmed(h) for h in range(1, self.max_height + 1)
         )
 
 
 def verify_sphere_theorem(h: int) -> SphereTheoremReport:
     """Check each class with <= 2h points as the depth-first walk builds it,
-    decoding none (the report lists classes as built): a beat-point-free
-    non-singleton space has at least twice its height many points, and the
-    equality cases are exactly the sphere models.  2 <= h <= MAX_POINTS // 2."""
+    decoding none and labelling only the parents and tie children that
+    enumeration labels (the report lists classes as built): a
+    beat-point-free non-singleton space has at least twice its height many
+    points, and the equality cases are exactly the sphere models.  The
+    classes of each size are counted.  2 <= h <= MAX_POINTS // 2."""
     if h < 2:
         raise ValueError("verification starts at height 2")
     if 2 * h > MAX_POINTS:
         raise CapExceededError(f"max height {h} needs {2 * h} points, beyond the"
                                f" enumeration limit of {MAX_POINTS} points")
-    report = SphereTheoremReport(max_height=h, points_scanned=2 * h)
+    sizes = dict.fromkeys(range(1, 2 * h + 1), 0)
+    report = SphereTheoremReport(max_height=h, points_scanned=2 * h, classes_per_size=sizes)
     for p in _walk(2 * h):
         report.classes_scanned += 1
+        sizes[p.n] += 1
         if p.n < 2 or not is_minimal(p):
             continue
         if p.n < 2 * p.height:

@@ -324,18 +324,27 @@ class FinitePoset:
         backtracking over the remaining cell choices, keeping the
         lexicographically least strict-order encoding.  Labelings are
         always linear extensions (cells are ordered by level), so only the
-        strictly-upper-triangular bits are encoded.
+        strictly-upper-triangular bits are encoded.  The automorphism
+        generators the same search finds are dropped here.
         """
         if self._canon is None:
-            enc, self._canon_last = _canonical_encoding(self)
-            nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
-            code = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
-            self._canon = CanonicalForm(code)
+            self._label()
         return self._canon
+
+    def _label(self) -> list[tuple[int, ...]]:
+        """Set ``_canon`` and ``_canon_last`` from one labelling search and
+        return the generators of the automorphism group that it found,
+        which are not kept (enumeration asks for them once per parent)."""
+        enc, self._canon_last, generators = _canonical_encoding(self)
+        nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
+        code = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
+        self._canon = CanonicalForm(code)
+        return generators
 
     _canon: CanonicalForm | None = None
     # Point placed last by the labelling that gave ``_canon``: a maximal
-    # point with the largest (level, down-set size).  None while unknown.
+    # point with the largest (level, down-set size).  None while unlabelled,
+    # as a class accepted by enumeration stays until its code is asked for.
     _canon_last: int | None = None
 
     @classmethod
@@ -427,13 +436,22 @@ def _twin_cell(up, down, cell):
     return True
 
 
-def _canonical_encoding(p: FinitePoset) -> tuple[int, int]:
-    """Least encoding over the labellings the search reaches, and the point
-    that labelling puts last.
+def _canonical_encoding(p: FinitePoset) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Least encoding over the labellings the search reaches, the point
+    that labelling puts last, and generators of Aut(p), each a tuple g
+    mapping point x to g[x].
 
     Initial cells are sorted by (level, |down|, |up|) and ``_refine`` splits
     cells in place, so the last point always comes from the last initial
     cell: a maximal point with the largest (level, |down|).
+
+    Labellings are linear extensions, so two leaves with equal encodings
+    give equal relabelled orders, and the map from the least leaf to each
+    other least leaf is an automorphism.  With the transpositions of each
+    twin cell met, where the search takes one order instead of branching,
+    these generate the whole group: every branch of an individualised cell
+    is searched, so each image of the least leaf's choice at a node on its
+    path is the choice of some least leaf.
     """
     up, down, n = p.up, p.down, p.n
     initial = {}
@@ -441,7 +459,8 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int]:
         key = (p.levels[v], down[v].bit_count(), up[v].bit_count())
         initial.setdefault(key, []).append(v)
     cells = _refine(up, down, [initial[k] for k in sorted(initial)])
-    best: list = [None, None]
+    best: list = [None, []]  # least encoding, the leaf orders that reach it
+    twins = set()
 
     def encode(order):
         enc = 0
@@ -459,9 +478,12 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int]:
             order = [c[0] for c in cells]
             enc = encode(order)
             if best[0] is None or enc < best[0]:
-                best[:] = enc, order[-1]
+                best[:] = enc, [order]
+            elif enc == best[0]:
+                best[1].append(order)
             return
         if _twin_cell(up, down, cell):
+            twins.update(zip(cell, cell[1:]))
             split = cells[:idx] + [[v] for v in cell] + cells[idx + 1 :]
             search(_refine(up, down, split))
             return
@@ -471,4 +493,10 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int]:
             search(_refine(up, down, split))
 
     search(cells)
-    return tuple(best)
+    enc, (first, *others) = best
+    generators = [tuple(y for _, y in sorted(zip(first, order))) for order in others]
+    for x, y in twins:
+        g = list(range(n))
+        g[x], g[y] = y, x
+        generators.append(tuple(g))
+    return enc, first[-1], generators

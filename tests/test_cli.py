@@ -240,6 +240,28 @@ def test_sphere_height_without_a_class_is_printed(capsys, monkeypatch):
     assert data["equality_classes"] == {"1": 1, "2": 0, "3": 1}
 
 
+def test_sphere_scan_that_loses_a_class_is_violated(capsys, monkeypatch):
+    # drops the 4-point chain, a leaf that is neither minimal nor a sphere
+    children = models._children
+    monkeypatch.setattr(models, "_children",
+                        lambda parent: [c for c in children(parent) if c.height < 4])
+    code, out, _ = run(capsys, "verify", "spheres", "--max-h", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "scanned 23 classes with at most 4 points"
+    assert lines[1].endswith("ok") and "violator:" not in lines
+    # each height has its one sphere class, but no verdict stands on a short count
+    assert lines[2].startswith("height 1: 1 class(es)") and lines[2].endswith("FAILED")
+    assert lines[3].startswith("height 2: 1 class(es)") and lines[3].endswith("FAILED")
+    assert lines[4] == "classes per size 1..4: 1, 2, 5, 15, expected OEIS A000112: FAILED"
+    assert lines[5] == "VIOLATED"
+    code, out, _ = run(capsys, "verify", "spheres", "--max-h", "2", "--json")
+    data = json.loads(out)
+    assert code == 1 and data["confirmed"] is False
+    assert data["classes_per_size"] == {"1": 1, "2": 2, "3": 5, "4": 15}
+    assert data["equality_classes"] == {"1": 1, "2": 1}
+
+
 def test_enumeration_limit_is_named(capsys):
     for argv, asked in (
         (["enumerate", "11"], "k=11"),

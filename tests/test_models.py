@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from extension_oracle import oracle_codes
+from extension_oracle import ideal_masks, oracle_codes
+from labelled_children import labelled_children
 from wedge_oracle import wedge_models_by_enumeration
 
 from finito import (
@@ -26,7 +27,7 @@ from finito import (
     verify_wedge_theorem,
     wedge_uniqueness_scan,
 )
-from finito import models
+from finito import models, poset
 from finito.models import MAX_POINTS, is_square
 from finito.poset import _canonical_encoding
 
@@ -194,6 +195,7 @@ def test_enumeration_stats():
 def test_verify_sphere_theorem_h2():
     report = verify_sphere_theorem(2)
     assert report.confirmed
+    assert report.classes_per_size == {1: 1, 2: 2, 3: 5, 4: 16}
     assert not report.lower_bound_violations
     assert sorted(report.equality_classes) == [1, 2]
     (only,) = report.equality_classes[2]
@@ -202,6 +204,26 @@ def test_verify_sphere_theorem_h2():
         verify_sphere_theorem(1)
     with pytest.raises(CapExceededError):
         verify_sphere_theorem(6)
+
+
+def test_sphere_walk_labels_fewer_classes_than_it_scans(monkeypatch):
+    # only parents and tie children are labelled; the other leaves keep no code
+    calls = []
+    encoding = poset._canonical_encoding
+    monkeypatch.setattr(poset, "_canonical_encoding", lambda p: calls.append(p) or encoding(p))
+    scanned = []
+    walk = models._walk
+
+    def recorded(k, p=None):
+        for q in walk(k, p):
+            scanned.append(q)
+            yield q
+
+    monkeypatch.setattr(models, "_walk", recorded)
+    report = verify_sphere_theorem(3)
+    assert report.confirmed and report.classes_scanned == len(scanned) == 405
+    assert len(calls) < report.classes_scanned
+    assert any(p._canon is None for p in scanned)
 
 
 def test_sphere_report_fails_a_height_without_its_class():
@@ -352,10 +374,71 @@ def test_canonical_last_point_has_the_largest_key(classes_upto):
         perm = list(range(p.n))
         rng.shuffle(perm)
         for q in (FinitePoset._trusted(p.up), p.relabel(perm)):
-            _, last = _canonical_encoding(q)
+            _, last, _ = _canonical_encoding(q)
             keys = [(q.levels[x], q.down[x].bit_count()) for x in range(p.n)]
             assert q.up[last] == 1 << last
             assert keys[last] == max(keys)
+
+
+def brute_force_automorphisms(p):
+    """Every permutation g (point x to g[x]) that maps the order onto itself."""
+    found = set()
+    for g in itertools.permutations(range(p.n)):
+        if all(
+            sum(1 << g[y] for y in range(p.n) if (p.up[x] >> y) & 1) == p.up[g[x]]
+            for x in range(p.n)
+        ):
+            found.add(g)
+    return found
+
+
+def generated_group(n, generators):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for a in frontier:
+        for g in generators:
+            product = tuple(g[a[x]] for x in range(n))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
+def ideal_orbits(ideals, perms):
+    """The orbits of the ideals under the group that the permutations generate."""
+    orbits = set()
+    for m in ideals:
+        orbit = [m]
+        for a in orbit:
+            for g in perms:
+                image = sum(1 << g[x] for x in range(len(g)) if (a >> x) & 1)
+                if image not in orbit:
+                    orbit.append(image)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_automorphism_generators_match_brute_force(classes_upto):
+    rng = random.Random(5)
+    for p in classes_upto(6):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for q in (FinitePoset._trusted(p.up), p.relabel(perm)):
+            brute = brute_force_automorphisms(q)
+            generators = _canonical_encoding(q)[2]
+            assert set(generators) <= brute
+            assert len(generated_group(q.n, generators)) == len(brute)
+            ideals = ideal_masks(q.up)
+            assert ideal_orbits(ideals, generators) == ideal_orbits(ideals, brute)
+
+
+def test_orbit_accepted_children_match_labelled_ones():
+    # the multiset of child codes is the same whether children of a new point
+    # with the unique largest key merge by orbit or by labelling
+    for parent in models._walk(6):
+        accepted = Counter(c.canonical_form().code for c in models._children(parent))
+        labelled = Counter(c.canonical_form().code for c in labelled_children(parent))
+        assert accepted == labelled
 
 
 def test_each_class_has_one_canonical_parent():
