@@ -126,25 +126,38 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
 # -- exhaustive enumeration -----------------------------------------------------
 
 
+def _orbit(mask: int, generators: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of a point set, as masks, under the group the generators
+    (each a tuple g taking point x to g[x]) generate."""
+    orbit, frontier = {mask}, [mask]
+    for m in frontier:
+        for g in generators:
+            image = sum(1 << y for x, y in enumerate(g) if (m >> x) & 1)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
 def _children(parent: FinitePoset) -> list[FinitePoset]:
     """The classes whose canonical parent is this class, each built once:
     the parent's rows plus a maximal point t above an ideal, with ``down``
-    and ``levels`` set.  So from the one-point class on, rows are a linear
-    extension, all that listing the ideals needs.  The canonical parent of
-    a child is the child less the maximal point of largest key (level,
-    |down|) that its labelling puts last.  The parent is labelled once on
-    entry, for its code and generators of its automorphism group.
+    and ``levels`` set, so rows stay a linear extension, all that listing
+    the ideals needs.  A child's canonical parent is the child less the
+    point its labelling puts last, a maximal point of largest key (level,
+    |down|), or less any point of that point's Aut(child) orbit.
 
-    A t of smaller key than the parent's largest is rejected unlabelled.  A
-    t of larger key is the child's one point of largest key, so the child's
-    canonical parent is this class, and two such children are isomorphic
-    exactly when their ideals lie in one orbit of Aut(parent): the first
-    ideal of each orbit is accepted, unlabelled, its code left to
-    ``canonical_form``.  On a tie the child is labelled and accepted if its
-    labelling ends at t or its canonical parent is this class; isomorphic
-    ones merge here by code."""
+    A t of key below the parent's largest is rejected unlabelled; of the
+    others, one ideal per Aut(parent) orbit is tried.  A t of larger key is
+    the child's last point, so the child is accepted unlabelled.  On a tie
+    the child is labelled once and accepted iff t is in the orbit of its
+    last point.  No two accepted children are isomorphic: an isomorphism
+    times an automorphism of the second child fixes t, so it restricts to
+    an automorphism of the parent joining the two ideals.  The parent is
+    labelled unless it already was."""
     rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
-    generators = parent._label()
+    if parent._aut is None:
+        parent._label()
     best = max(zip(levels, (d.bit_count() for d in down)))
     # a point may join an ideal once its strict down-set, decided by then, is in
     ideals = [(0, 0)]  # (mask, highest level in it)
@@ -152,35 +165,21 @@ def _children(parent: FinitePoset) -> list[FinitePoset]:
         below = down[x] ^ (1 << x)
         ideals += [(m | 1 << x, max(h, levels[x])) for m, h in ideals if not below & ~m]
     top = 1 << n
-    taken, seen, accepted = set(), set(), []  # ideals of orbits met, tie codes
+    taken, accepted = set(), []  # ideals of the orbits met
     for ideal, high in ideals:
         key = (high + 1, ideal.bit_count() + 1)
         if key < best or ideal in taken:
             continue
+        taken |= _orbit(ideal, parent._aut)
         child = FinitePoset._trusted(
             [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
         child.__dict__["down"] = down + (ideal | top,)
         child.__dict__["levels"] = levels + (key[0],)
-        if key > best:
-            taken.add(ideal)
-            orbit = [ideal]
-            for mask in orbit:
-                for g in generators:
-                    image = sum(1 << g[x] for x in range(n) if (mask >> x) & 1)
-                    if image not in taken:
-                        taken.add(image)
-                        orbit.append(image)
-            accepted.append(child)
-            continue
-        code = child.canonical_form().code
-        if code in seen:
-            continue
-        seen.add(code)
-        last = child._canon_last
-        if last == n or child.subposet(
-            [x for x in range(n + 1) if x != last]
-        ).canonical_form() == parent._canon:
-            accepted.append(child)
+        if key == best:
+            child._label()
+            if top not in _orbit(1 << child._canon_last, child._aut):
+                continue
+        accepted.append(child)
     return accepted
 
 
@@ -296,8 +295,8 @@ class SphereTheoremReport:
 
 def verify_sphere_theorem(h: int) -> SphereTheoremReport:
     """Check each class with <= 2h points as the depth-first walk builds it,
-    decoding none and labelling only the parents and tie children that
-    enumeration labels (the report lists classes as built): a
+    decoding none and labelling each at most once, only the parents and tie
+    children that enumeration labels (the report lists classes as built): a
     beat-point-free non-singleton space has at least twice its height many
     points, and the equality cases are exactly the sphere models.  The
     classes of each size are counted.  2 <= h <= MAX_POINTS // 2."""

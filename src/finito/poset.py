@@ -325,27 +325,27 @@ class FinitePoset:
         lexicographically least strict-order encoding.  Labelings are
         always linear extensions (cells are ordered by level), so only the
         strictly-upper-triangular bits are encoded.  The automorphism
-        generators the same search finds are dropped here.
+        generators the same search finds are kept as ``_aut``.
         """
         if self._canon is None:
             self._label()
         return self._canon
 
-    def _label(self) -> list[tuple[int, ...]]:
-        """Set ``_canon`` and ``_canon_last`` from one labelling search and
-        return the generators of the automorphism group that it found,
-        which are not kept (enumeration asks for them once per parent)."""
-        enc, self._canon_last, generators = _canonical_encoding(self)
+    def _label(self) -> None:
+        """Set ``_canon``, ``_canon_last`` and ``_aut`` from one labelling
+        search, so enumeration labels each class at most once."""
+        enc, self._canon_last, self._aut = _canonical_encoding(self)
         nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
         code = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
         self._canon = CanonicalForm(code)
-        return generators
 
     _canon: CanonicalForm | None = None
-    # Point placed last by the labelling that gave ``_canon``: a maximal
-    # point with the largest (level, down-set size).  None while unlabelled,
-    # as a class accepted by enumeration stays until its code is asked for.
+    # Point placed last by the labelling that gave ``_canon`` (a maximal
+    # point with the largest (level, down-set size)) and generators of Aut(p)
+    # that it found.  None while unlabelled, as a class accepted by
+    # enumeration stays until its code or its children are asked for.
     _canon_last: int | None = None
+    _aut: list[tuple[int, ...]] | None = None
 
     @classmethod
     def _from_code(cls, code: bytes) -> "FinitePoset":

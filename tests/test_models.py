@@ -226,6 +226,19 @@ def test_sphere_walk_labels_fewer_classes_than_it_scans(monkeypatch):
     assert any(p._canon is None for p in scanned)
 
 
+@pytest.mark.parametrize("h", [3, 4])
+def test_sphere_walk_labels_no_poset_twice(monkeypatch, h):
+    # the list holds every poset labelled, so no id is reused by a new one
+    calls = []
+    encoding = poset._canonical_encoding
+    monkeypatch.setattr(poset, "_canonical_encoding", lambda p: calls.append(p) or encoding(p))
+    assert verify_sphere_theorem(h).confirmed
+    assert max(Counter(map(id, calls)).values()) == 1
+    # the walk that also labelled each tie child less its last point, and
+    # each tie child again as a parent, made 236 and 9,281 calls
+    assert len(calls) < {3: 236, 4: 9281}[h]
+
+
 def test_sphere_report_fails_a_height_without_its_class():
     report = verify_sphere_theorem(2)
     assert report.height_confirmed(1) and report.height_confirmed(2)
@@ -433,9 +446,11 @@ def test_automorphism_generators_match_brute_force(classes_upto):
 
 
 def test_orbit_accepted_children_match_labelled_ones():
-    # the multiset of child codes is the same whether children of a new point
-    # with the unique largest key merge by orbit or by labelling
-    for parent in models._walk(6):
+    # the multiset of child codes is the same whether children merge by
+    # orbit and ties are accepted by the Aut(child) orbit of the last point,
+    # or every child is labelled and merged by code and tested by deletion;
+    # 8-point children include the pseudo-similar class below
+    for parent in models._walk(7):
         accepted = Counter(c.canonical_form().code for c in models._children(parent))
         labelled = Counter(c.canonical_form().code for c in labelled_children(parent))
         assert accepted == labelled
@@ -449,3 +464,20 @@ def test_each_class_has_one_canonical_parent():
         assert set(accepted) == set(level)
         assert max(accepted.values()) == 1
         parents = children
+
+
+def test_pseudo_similar_points_give_one_class():
+    # rigid, yet deleting either tie point 6 or 7 leaves the same class: the
+    # deletion test accepts both children, the orbit test only one
+    p = FinitePoset.from_cover_pairs(
+        8, [(0, 3), (1, 4), (1, 6), (2, 5), (2, 7), (3, 6), (4, 7)])
+    _, last, generators = _canonical_encoding(p)
+    assert generators == [] and len(brute_force_automorphisms(p)) == 1
+    keys = [(p.levels[x], p.down[x].bit_count()) for x in range(p.n)]
+    assert keys[6] == keys[7] == max(keys) and last in (6, 7)
+    less6, less7 = (p.subposet([x for x in range(p.n) if x != t]) for t in (6, 7))
+    assert less6.is_homeomorphic(less7)
+    built = [q for q in models._walk(8) if q.n == 8
+             and sorted(zip(q.levels, map(int.bit_count, q.down))) == sorted(keys)
+             and q.is_homeomorphic(p)]
+    assert len(built) == 1
