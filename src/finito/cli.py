@@ -21,6 +21,7 @@ from . import __version__
 from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
+    _filter_names,
     enumerate_posets,
     enumeration_stats,
     sphere_model,
@@ -32,7 +33,6 @@ from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_si
 from .reduction import (
     beat_points,
     core,
-    is_minimal,
     mccord_check,
     osaki_closed_reduction,
     osaki_open_reduction,
@@ -301,11 +301,10 @@ def cmd_verify_wedges(args) -> int:
     return 0 if report.confirmed else 1
 
 
-def _parse_filter(spec: str):
-    if spec == "connected":
-        return lambda p: p.is_connected()
-    if spec == "minimal":
-        return is_minimal
+def _filter_name(spec: str) -> str:
+    """The filter name that --filter SPEC asks for: height=03 is height=3."""
+    if spec in ("connected", "minimal"):
+        return spec
     if spec.startswith("height="):
         value = spec.split("=", 1)[1]
         try:
@@ -314,7 +313,9 @@ def _parse_filter(spec: str):
             raise ValueError(
                 f"the value of --filter height=H must be a whole number, got {value!r}"
             ) from None
-        return lambda p: p.height == h
+        if h < 1:
+            raise ValueError(f"the value of --filter height=H must be at least 1, got {value!r}")
+        return f"height={h}"
     raise ValueError(f"unknown filter {spec!r} (connected, minimal, or height=H)")
 
 
@@ -324,21 +325,21 @@ def cmd_enumerate(args) -> int:
         raise ValueError(
             f"--workers must be from 1 to {cpus} (the CPU count), got {args.workers}"
         )
-    pred = _parse_filter(args.filter) if args.filter else None
-    classes = enumerate_posets(args.k, workers=args.workers)
-    if pred:
-        classes = filter(pred, classes)
-    if args.emit:
-        classes = list(classes)
-    if pred:
-        count = sum(1 for _ in classes)
+    name = _filter_name(args.filter) if args.filter else None
+    classes = list(enumerate_posets(args.k, workers=args.workers)) if args.emit else None
+    if name:
+        if args.emit:
+            classes = [p for p in classes if name in _filter_names(p)]
+            count = len(classes)
+        else:
+            count = enumeration_stats(args.k, workers=args.workers).by_filter.get(name, 0)
         data = {"k": args.k, "filter": args.filter, "count": count}
         heading = [f"k={args.k} [{args.filter}]: {count} classes"]
     else:
-        stats = enumeration_stats(args.k, classes)
+        stats = enumeration_stats(args.k, classes, workers=args.workers)
         data = {"k": args.k, "total": stats.total, "by_filter": stats.by_filter}
         heading = [f"k={args.k}: {stats.total} classes"]
-        heading += [f"  {name:<12}{count}" for name, count in stats.by_filter.items()]
+        heading += [f"  {key:<12}{value}" for key, value in stats.by_filter.items()]
     if args.json:
         if args.emit:
             data["classes"] = [emit(p) for p in classes]

@@ -12,6 +12,7 @@ their scope: nothing is claimed beyond the sizes scanned.
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations
@@ -203,22 +204,36 @@ def _top_codes(k: int, p: FinitePoset | None = None) -> list[bytes]:
     return [q.canonical_form().code for q in _walk(k, p) if q.n == k]
 
 
-def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
-    """One canonically labeled representative per isomorphism class of
-    k-point posets, in code order, for k from 1 to MAX_POINTS; only their
-    codes are sorted and decoded.  Several workers walk in one forked pool
-    the subtrees of the first size with 32 classes a worker, or k - 1 points."""
+def _filter_names(p: FinitePoset) -> list[str]:
+    """The filters p passes: ``connected``, ``minimal`` and ``height=H``."""
+    checks = ("connected", p.is_connected()), ("minimal", is_minimal(p))
+    return [name for name, passed in checks if passed] + [f"height={p.height}"]
+
+
+def _tally(k: int, p: FinitePoset | None = None) -> Counter:
+    """Filter names of the k-point classes the walk builds from p, counted."""
+    return Counter(name for q in _walk(k, p) if q.n == k for name in _filter_names(q))
+
+
+def _pooled(job, k: int, workers: int) -> list:
+    """[job(k)] for one worker.  Several walk in one forked pool, job(k, p)
+    for each p of the first size with 32 classes a worker, or k - 1 points."""
     if k < 1:
         raise ValueError("k must be positive")
     if workers == 1:
-        parts = [_top_codes(k)]
-    else:
-        frontier = [next(_walk(k))]  # the one-point class
-        while len(frontier) < 32 * workers and frontier[0].n < k - 1:
-            frontier = [c for p in frontier for c in _children(p)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(partial(_top_codes, k), frontier)
-    for code in sorted(chain.from_iterable(parts)):
+        return [job(k)]
+    frontier = [next(_walk(k))]  # the one-point class
+    while len(frontier) < 32 * workers and frontier[0].n < k - 1:
+        frontier = [c for p in frontier for c in _children(p)]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(partial(job, k), frontier)
+
+
+def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
+    """One canonically labeled representative per isomorphism class of
+    k-point posets, in code order, for k from 1 to MAX_POINTS; only their
+    codes are sorted and decoded.  Several workers share the walk."""
+    for code in sorted(chain.from_iterable(_pooled(_top_codes, k, workers))):
         yield FinitePoset._from_code(code)
 
 
@@ -231,23 +246,16 @@ class EnumerationStats:
     by_filter: dict[str, int] = field(default_factory=dict)
 
 
-def enumeration_stats(k: int, classes: Iterable[FinitePoset]) -> EnumerationStats:
-    """Counts over the k-point classes given, e.g. by ``enumerate_posets(k)``."""
-    stats = EnumerationStats(k=k, total=0)
-    heights: dict[int, int] = {}
-    connected = minimal = 0
-    for p in classes:
-        stats.total += 1
-        heights[p.height] = heights.get(p.height, 0) + 1
-        if p.is_connected():
-            connected += 1
-        if is_minimal(p):
-            minimal += 1
-    stats.by_filter["connected"] = connected
-    stats.by_filter["minimal"] = minimal
-    for h in sorted(heights):
-        stats.by_filter[f"height={h}"] = heights[h]
-    return stats
+def enumeration_stats(k: int, classes: Iterable[FinitePoset] | None = None, *,
+                      workers: int = 1) -> EnumerationStats:
+    """Counts over the k-point classes given, e.g. those ``--emit`` lists, or
+    else over those the workers walk, none labelled or decoded for it."""
+    tally = (sum(_pooled(_tally, k, workers), Counter()) if classes is None
+             else Counter(name for p in classes for name in _filter_names(p)))
+    heights = {f"height={h}": tally[f"height={h}"]
+               for h in range(1, k + 1) if f"height={h}" in tally}
+    return EnumerationStats(k, sum(heights.values()), {
+        "connected": tally["connected"], "minimal": tally["minimal"], **heights})
 
 
 # -- theorem verification -------------------------------------------------------

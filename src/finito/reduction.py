@@ -108,51 +108,52 @@ def is_homotopy_equivalent(p: FinitePoset, q: FinitePoset) -> bool:
 
 
 def _quotient(p: FinitePoset, mask: int) -> FinitePoset:
-    """Collapse the points of ``mask`` to one class point (appended last).
-
-    ``mask`` must be a down-set.  The remaining points keep their induced
-    order, and the class point lies below exactly those whose down-set
-    meets ``mask`` and above none of them, so the result is a partial
-    order without any closure or T0 check.
+    """Collapse the points of ``mask``, a down-set or an up-set, to one
+    class point (appended last).  The remaining points keep their induced
+    order; the class point lies below those above a point of ``mask`` and
+    above those below one, so the result is a partial order without any
+    closure or T0 check.
     """
     keep = [x for x in range(p.n) if not (mask >> x) & 1]
     up = list(p.subposet(keep).up) if keep else []
-    cls = 1 << len(keep)
-    for i, x in enumerate(keep):
-        if p.down[x] & mask:
-            cls |= 1 << i
+    cls = row = 1 << len(keep)
+    for i, y in enumerate(keep):
+        if p.up[y] & mask:
+            up[i] |= cls
+        if p.down[y] & mask:
+            row |= 1 << i
     labels = None
     if p.labels:
         collapsed = "{" + ",".join(p.label(x) for x in _bits(mask)) + "}"
         labels = tuple(p.label(x) for x in keep) + (collapsed,)
-    return FinitePoset._trusted(up + [cls], labels)
+    return FinitePoset._trusted(up + [row], labels)
+
+
+def _osaki(p: FinitePoset, x: int, sets: tuple[int, ...]) -> FinitePoset | None:
+    """The reduction by ``sets[x]``, for ``sets`` = ``p.down`` or ``p.up``.  A
+    y comparable to x is skipped: the intersection then has a largest or a
+    least point.  Each distinct intersection is checked once, on p for both
+    kinds, as beat points are self-dual."""
+    _check_point(p, x)
+    others = ((1 << p.n) - 1) & ~(p.down[x] | p.up[x])
+    inters = {sets[x] & sets[y] for y in _bits(others)}
+    inters.discard(0)
+    if all(_contractible(p, inter) for inter in inters):
+        return _quotient(p, sets[x])
+    return None
 
 
 def osaki_open_reduction(p: FinitePoset, x: int) -> FinitePoset | None:
-    """Quotient by the minimal open set of x, when the hypothesis holds.
-
-    Checks that every intersection with another minimal open set is empty
-    or has a one-point core; contractibility is a decidable sufficient
-    stand-in for vanishing homotopy groups at these sizes.  Returns None
-    when the check fails.  A point y comparable to x is skipped: the
-    intersection of U_x and U_y is then U_y or U_x, whose maximum y or x
-    makes it contractible.  Each distinct intersection is checked once.
-    A point out of range raises IndexError.
-    """
-    _check_point(p, x)
-    u = p.down[x]
-    others = ((1 << p.n) - 1) & ~(u | p.up[x])
-    inters = {u & p.down[y] for y in _bits(others)}
-    inters.discard(0)
-    if all(_contractible(p, inter) for inter in inters):
-        return _quotient(p, u)
-    return None
+    """Quotient by the minimal open set of x, when the hypothesis holds:
+    every intersection with another minimal open set is empty or has a
+    one-point core, a decidable sufficient stand-in for vanishing homotopy
+    groups at these sizes; else None.  A point out of range raises IndexError."""
+    return _osaki(p, x, p.down)
 
 
 def osaki_closed_reduction(p: FinitePoset, x: int) -> FinitePoset | None:
     """Quotient by the closure of {x}; dual of the open reduction."""
-    q = osaki_open_reduction(p.opposite(), x)
-    return q.opposite() if q is not None else None
+    return _osaki(p, x, p.up)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import finito.cli
-from finito import FinitePoset, models, verify_wedge_theorem, wedge_uniqueness_scan
+from finito import FinitePoset, models, poset, verify_wedge_theorem, wedge_uniqueness_scan
 from finito.cli import main
 
 COUNTER = """\
@@ -284,6 +284,53 @@ def test_bad_height_filter_is_named(capsys):
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--filter height=H" in err
         assert "whole number" in err and "invalid literal" not in err
+    for spec in ("height=0", "height=-1"):  # no space has a height below 1
+        code, out, err = run(capsys, "enumerate", "3", "--filter", spec)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--filter height=H" in err and "at least 1" in err
+
+
+def by_filter_json(k, total, connected, minimal, heights):
+    by_filter = {"connected": connected, "minimal": minimal}
+    by_filter.update((f"height={h}", c) for h, c in enumerate(heights, 1))
+    return json.dumps({"k": k, "total": total, "by_filter": by_filter}, indent=2) + "\n"
+
+
+def test_enumerate_eight_golden(capsys):
+    assert run(capsys, "enumerate", "8", "--json") == (0, by_filter_json(
+        8, 16999, 14512, 160, (1, 556, 6372, 7305, 2380, 356, 28, 1)), "")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
+def test_enumerate_nine_golden_with_two_workers(capsys):
+    assert run(capsys, "enumerate", "9", "--json", "--workers", "2") == (0, by_filter_json(
+        9, 183231, 163341, 954, (1, 2222, 52336, 86683, 35070, 6259, 623, 36, 1)), "")
+
+
+def test_count_labels_no_more_than_the_walk_and_decodes_nothing(capsys, monkeypatch):
+    labelled, decoded = [], []
+    encoding, decode = poset._canonical_encoding, FinitePoset._from_code
+    monkeypatch.setattr(poset, "_canonical_encoding", lambda p: labelled.append(p) or encoding(p))
+    for _ in models._walk(8):
+        pass
+    walk_labels = len(labelled)
+    labelled.clear()
+    monkeypatch.setattr(FinitePoset, "_from_code",
+                        classmethod(lambda cls, code: decoded.append(code) or decode(code)))
+    code, out, _ = run(capsys, "enumerate", "8", "--json")
+    assert code == 0 and json.loads(out)["total"] == 16999
+    assert len(labelled) == walk_labels and decoded == []
+
+
+def test_filter_count_equals_the_emitted_list(capsys):
+    for k in range(1, 7):
+        for spec in ("connected", "minimal", *(f"height={h}" for h in range(1, k + 2))):
+            _, out, _ = run(capsys, "enumerate", str(k), "--filter", spec, "--json")
+            count = json.loads(out)["count"]
+            _, out, _ = run(capsys, "enumerate", str(k), "--filter", spec, "--emit", "--json")
+            listed = json.loads(out)
+            assert listed["count"] == len(listed["classes"]) == count
 
 
 def test_info_on_long_chain_and_cone(capsys, tmp_path):

@@ -192,6 +192,26 @@ def test_enumeration_stats():
     assert sum(v for k, v in stats.by_filter.items() if k.startswith("height=")) == 63
 
 
+def listed_census(k):
+    """(total, counts per filter) over the decoded classes of
+    ``enumerate_posets(k)``, each predicate recomputed from their rows."""
+    classes = list(enumerate_posets(k))
+    heights = Counter(p.height for p in classes)
+    by_filter = {"connected": sum(p.is_connected() for p in classes),
+                 "minimal": sum(not beat_points(p) for p in classes)}
+    by_filter.update((f"height={h}", heights[h]) for h in sorted(heights))
+    return len(classes), by_filter
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_walk_census_matches_the_listed_classes(workers):
+    for k in range(1, 8):
+        stats = enumeration_stats(k, workers=workers)
+        total, by_filter = listed_census(k)
+        assert stats.total == total
+        assert list(stats.by_filter.items()) == list(by_filter.items())
+
+
 def test_verify_sphere_theorem_h2():
     report = verify_sphere_theorem(2)
     assert report.confirmed
