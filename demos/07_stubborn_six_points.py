@@ -8,8 +8,7 @@ from finito import (
     euler_characteristic,
     mccord_check,
     nh_suspension,
-    osaki_closed_reduction,
-    osaki_open_reduction,
+    osaki,
 )
 
 x = FinitePoset.from_cover_pairs(
@@ -23,11 +22,9 @@ print("X:", x)
 print("beat points:", beat_points(x))
 
 # open and closed reductions either do not apply or fail to shrink
-for point in range(x.n):
-    open_q = osaki_open_reduction(x, point)
-    closed_q = osaki_closed_reduction(x, point)
-    show = lambda q: "n/a" if q is None else f"{q.n} points"
-    print(f"  {x.label(point)}: open {show(open_q)}, closed {show(closed_q)}")
+show = lambda size: "n/a" if size is None else f"{size} points"
+for point, (open_n, closed_n) in enumerate(osaki(x)):
+    print(f"  {x.label(point)}: open {show(open_n)}, closed {show(closed_n)}")
 
 # yet X is weakly equivalent to the 5-point suspension: the collapse of the
 # two top points passes the basis-like cover criterion (in y the three

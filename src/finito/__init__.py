@@ -76,6 +76,7 @@ from .reduction import (
     is_contractible,
     is_homotopy_equivalent,
     mccord_check,
+    osaki,
     osaki_closed_reduction,
     osaki_open_reduction,
     remove_point,

@@ -16,13 +16,14 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .errors import FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
-    _filter_names,
-    enumerate_posets,
+    _listing,
+    _stats,
     enumeration_stats,
     sphere_model,
     verify_sphere_theorem,
@@ -30,12 +31,12 @@ from .models import (
 )
 from .order_complex import euler_characteristic, poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
+from .poset import FinitePoset
 from .reduction import (
     beat_points,
     core,
     mccord_check,
-    osaki_closed_reduction,
-    osaki_open_reduction,
+    osaki,
 )
 
 
@@ -165,18 +166,17 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_osaki(args) -> int:
+    """The point count of each applicable reduction, decided from Osaki's
+    hypothesis alone; no quotient is built."""
     p, _ = _load(args.file)
-    rows = []
-    for x in range(p.n):
-        open_q = osaki_open_reduction(p, x)
-        closed_q = osaki_closed_reduction(p, x)
-        rows.append(
-            {
-                "point": p.label(x),
-                "open": None if open_q is None else {"points": open_q.n},
-                "closed": None if closed_q is None else {"points": closed_q.n},
-            }
-        )
+    rows = [
+        {
+            "point": p.label(x),
+            "open": None if open_n is None else {"points": open_n},
+            "closed": None if closed_n is None else {"points": closed_n},
+        }
+        for x, (open_n, closed_n) in enumerate(osaki(p))
+    ]
     if args.json:
         return _emit_json({"points": p.n, "reductions": rows})
     width = max(len(r["point"]) for r in rows)
@@ -326,29 +326,31 @@ def cmd_enumerate(args) -> int:
             f"--workers must be from 1 to {cpus} (the CPU count), got {args.workers}"
         )
     name = _filter_name(args.filter) if args.filter else None
-    classes = list(enumerate_posets(args.k, workers=args.workers)) if args.emit else None
+    if args.emit:
+        listed = _listing(args.k, args.workers)
+        if name:
+            listed = [(code, names) for code, names in listed if name in names]
+        stats = _stats(args.k, Counter(n for _, names in listed for n in names))
+    else:
+        stats = enumeration_stats(args.k, workers=args.workers)
     if name:
-        if args.emit:
-            classes = [p for p in classes if name in _filter_names(p)]
-            count = len(classes)
-        else:
-            count = enumeration_stats(args.k, workers=args.workers).by_filter.get(name, 0)
+        count = stats.by_filter.get(name, 0)
         data = {"k": args.k, "filter": args.filter, "count": count}
         heading = [f"k={args.k} [{args.filter}]: {count} classes"]
     else:
-        stats = enumeration_stats(args.k, classes, workers=args.workers)
         data = {"k": args.k, "total": stats.total, "by_filter": stats.by_filter}
         heading = [f"k={args.k}: {stats.total} classes"]
         heading += [f"  {key:<12}{value}" for key, value in stats.by_filter.items()]
+    # each class is decoded only as it is printed
+    classes = (FinitePoset._from_code(code) for code, _ in listed) if args.emit else ()
     if args.json:
         if args.emit:
             data["classes"] = [emit(p) for p in classes]
         return _emit_json(data)
     print("\n".join(heading))
-    if args.emit:
-        for p in classes:
-            print()
-            print(emit(p), end="")
+    for p in classes:
+        print()
+        print(emit(p), end="")
     return 0
 
 

@@ -215,6 +215,18 @@ def _tally(k: int, p: FinitePoset | None = None) -> Counter:
     return Counter(name for q in _walk(k, p) if q.n == k for name in _filter_names(q))
 
 
+def _named_codes(k: int, p: FinitePoset | None = None) -> list[tuple[bytes, tuple[str, ...]]]:
+    """(code, filter names) of each k-point class the walk builds from p;
+    equal name tuples are one object, so a pair costs little beyond its code."""
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    pairs = []
+    for q in _walk(k, p):
+        if q.n == k:
+            names = tuple(_filter_names(q))
+            pairs.append((q.canonical_form().code, shared.setdefault(names, names)))
+    return pairs
+
+
 def _pooled(job, k: int, workers: int) -> list:
     """[job(k)] for one worker.  Several walk in one forked pool, job(k, p)
     for each p of the first size with 32 classes a worker, or k - 1 points."""
@@ -227,6 +239,12 @@ def _pooled(job, k: int, workers: int) -> list:
         frontier = [c for p in frontier for c in _children(p)]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(partial(job, k), frontier)
+
+
+def _listing(k: int, workers: int = 1) -> list[tuple[bytes, tuple[str, ...]]]:
+    """(code, filter names) of every k-point class, in code order: what
+    ``enumerate --emit`` lists and counts, held as codes, none decoded."""
+    return sorted(chain.from_iterable(_pooled(_named_codes, k, workers)))
 
 
 def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
@@ -248,10 +266,14 @@ class EnumerationStats:
 
 def enumeration_stats(k: int, classes: Iterable[FinitePoset] | None = None, *,
                       workers: int = 1) -> EnumerationStats:
-    """Counts over the k-point classes given, e.g. those ``--emit`` lists, or
-    else over those the workers walk, none labelled or decoded for it."""
-    tally = (sum(_pooled(_tally, k, workers), Counter()) if classes is None
-             else Counter(name for p in classes for name in _filter_names(p)))
+    """Counts over the k-point classes given, or else over those the workers
+    walk, none labelled or decoded for it."""
+    return _stats(k, sum(_pooled(_tally, k, workers), Counter()) if classes is None
+                  else Counter(name for p in classes for name in _filter_names(p)))
+
+
+def _stats(k: int, tally: Counter) -> EnumerationStats:
+    """The stats of k-point classes whose filter names are counted in tally."""
     heights = {f"height={h}": tally[f"height={h}"]
                for h in range(1, k + 1) if f"height={h}" in tally}
     return EnumerationStats(k, sum(heights.values()), {

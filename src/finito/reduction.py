@@ -1,11 +1,13 @@
 """Homotopy-theoretic shrinking of finite spaces.
 
 Beat points and cores in the sense of Stong, contractibility and homotopy
-equivalence tests, Osaki's open and closed quotient reductions with their
-hypothesis check, the basis-like-cover continuity criterion for a given
-map, and removal of non-extremal points.  A subspace is a bitmask of the
-points of the space it lies in; a FinitePoset is built only for a space
-handed back to the caller.
+equivalence tests, Osaki's open and closed reductions, the basis-like-cover
+continuity criterion for a given map, and removal of non-extremal points.
+A subspace is a bitmask of the points of the space it lies in; a
+FinitePoset is built only for a space handed back to the caller.  The
+table of Osaki reductions (``osaki``) is decided from Osaki's hypothesis
+alone, as point counts; the quotient spaces are built only for library
+callers of ``osaki_open_reduction`` and ``osaki_closed_reduction``.
 """
 
 from __future__ import annotations
@@ -129,18 +131,39 @@ def _quotient(p: FinitePoset, mask: int) -> FinitePoset:
     return FinitePoset._trusted(up + [row], labels)
 
 
-def _osaki(p: FinitePoset, x: int, sets: tuple[int, ...]) -> FinitePoset | None:
-    """The reduction by ``sets[x]``, for ``sets`` = ``p.down`` or ``p.up``.  A
-    y comparable to x is skipped: the intersection then has a largest or a
-    least point.  Each distinct intersection is checked once, on p for both
-    kinds, as beat points are self-dual."""
-    _check_point(p, x)
+def _hypothesis(p: FinitePoset, x: int, sets: tuple[int, ...], memo: dict[int, bool]) -> bool:
+    """Osaki's hypothesis at x for ``sets`` = ``p.down`` or ``p.up``, up to
+    the first intersection that is not contractible.  A y comparable to x
+    is skipped: the intersection then has a largest or a least point.
+    Verdicts are kept in ``memo`` by mask, valid for both kinds, as beat
+    points are self-dual."""
     others = ((1 << p.n) - 1) & ~(p.down[x] | p.up[x])
-    inters = {sets[x] & sets[y] for y in _bits(others)}
-    inters.discard(0)
-    if all(_contractible(p, inter) for inter in inters):
-        return _quotient(p, sets[x])
-    return None
+    for y in _bits(others):
+        inter = sets[x] & sets[y]
+        if inter:
+            verdict = memo.get(inter)
+            if verdict is None:
+                verdict = memo[inter] = _contractible(p, inter)
+            if not verdict:
+                return False
+    return True
+
+
+def osaki(p: FinitePoset) -> list[tuple[int | None, int | None]]:
+    """For each point x, the point counts (open, closed) of the reductions
+    ``osaki_open_reduction(p, x)`` and ``osaki_closed_reduction(p, x)``,
+    None where the hypothesis fails.  No quotient is built: collapsing m
+    points leaves n - m + 1.  Each distinct intersection is decided once."""
+    memo: dict[int, bool] = {}
+    return [tuple(p.n - sets[x].bit_count() + 1 if _hypothesis(p, x, sets, memo) else None
+                  for sets in (p.down, p.up))
+            for x in range(p.n)]
+
+
+def _osaki(p: FinitePoset, x: int, sets: tuple[int, ...]) -> FinitePoset | None:
+    """The reduction by ``sets[x]``, for ``sets`` = ``p.down`` or ``p.up``."""
+    _check_point(p, x)
+    return _quotient(p, sets[x]) if _hypothesis(p, x, sets, {}) else None
 
 
 def osaki_open_reduction(p: FinitePoset, x: int) -> FinitePoset | None:

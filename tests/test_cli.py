@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import finito.cli
-from finito import FinitePoset, models, poset, verify_wedge_theorem, wedge_uniqueness_scan
+from finito import (
+    FinitePoset,
+    beat_points,
+    emit,
+    enumerate_posets,
+    models,
+    poset,
+    verify_wedge_theorem,
+    wedge_uniqueness_scan,
+)
 from finito.cli import main
 
 COUNTER = """\
@@ -92,13 +101,70 @@ def test_pi1_command(capsys, counter_file):
     assert data["free_rank"] == 2
 
 
+OSAKI_TEXT = """\
+c   open: 6 -> 6 (no shrink)     closed: not applicable
+a1  open: not applicable         closed: 6 -> 6 (no shrink)
+d   open: 6 -> 6 (no shrink)     closed: not applicable
+b   open: not applicable         closed: 6 -> 6 (no shrink)
+e   open: 6 -> 6 (no shrink)     closed: not applicable
+a2  open: not applicable         closed: 6 -> 6 (no shrink)
+"""
+
+
+OSAKI_JSON = """\
+{
+  "points": 6,
+  "reductions": [
+    {
+      "point": "c",
+      "open": {
+        "points": 6
+      },
+      "closed": null
+    },
+    {
+      "point": "a1",
+      "open": null,
+      "closed": {
+        "points": 6
+      }
+    },
+    {
+      "point": "d",
+      "open": {
+        "points": 6
+      },
+      "closed": null
+    },
+    {
+      "point": "b",
+      "open": null,
+      "closed": {
+        "points": 6
+      }
+    },
+    {
+      "point": "e",
+      "open": {
+        "points": 6
+      },
+      "closed": null
+    },
+    {
+      "point": "a2",
+      "open": null,
+      "closed": {
+        "points": 6
+      }
+    }
+  ]
+}
+"""
+
+
 def test_osaki_command(capsys, counter_file):
-    code, out, _ = run(capsys, "osaki", counter_file, "--json")
-    assert code == 0
-    data = json.loads(out)
-    for row in data["reductions"]:
-        for side in ("open", "closed"):
-            assert row[side] is None or row[side]["points"] == 6
+    assert run(capsys, "osaki", counter_file) == (0, OSAKI_TEXT, "")
+    assert run(capsys, "osaki", counter_file, "--json") == (0, OSAKI_JSON, "")
 
 
 def test_mccord_command(capsys, tmp_path):
@@ -331,6 +397,26 @@ def test_filter_count_equals_the_emitted_list(capsys):
             _, out, _ = run(capsys, "enumerate", str(k), "--filter", spec, "--emit", "--json")
             listed = json.loads(out)
             assert listed["count"] == len(listed["classes"]) == count
+
+
+def test_emit_lists_the_enumerated_classes_and_decodes_only_those(capsys, monkeypatch):
+    k = 6
+    classes = list(enumerate_posets(k))
+    _, counts, _ = run(capsys, "enumerate", str(k), "--json")
+    _, heading, _ = run(capsys, "enumerate", str(k))
+    decoded, decode = [], FinitePoset._from_code
+    monkeypatch.setattr(FinitePoset, "_from_code",
+                        classmethod(lambda cls, code: decoded.append(code) or decode(code)))
+    code, out, _ = run(capsys, "enumerate", str(k), "--emit", "--json")
+    assert code == 0 and json.loads(out) == {**json.loads(counts),
+                                             "classes": [emit(p) for p in classes]}
+    assert run(capsys, "enumerate", str(k), "--emit") == (
+        0, heading + "".join("\n" + emit(p) for p in classes), "")
+    minimal = [p for p in classes if not beat_points(p)]
+    decoded.clear()
+    code, out, _ = run(capsys, "enumerate", str(k), "--emit", "--filter", "minimal", "--json")
+    assert json.loads(out)["classes"] == [emit(p) for p in minimal]
+    assert decoded == [p.canonical_form().code for p in minimal]
 
 
 def test_info_on_long_chain_and_cone(capsys, tmp_path):

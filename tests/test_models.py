@@ -34,6 +34,9 @@ from finito.poset import _canonical_encoding
 # OEIS A000112: poset classes with k points, k = 0..10.
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
 
+# OEIS A000608: connected poset classes with k points, k = 1..10.
+A000608 = (1, 1, 3, 10, 44, 238, 1650, 14512, 163341, 2360719)
+
 # Minimal-model classes of the n-circle wedge, n = 1..16.
 WEDGE_COUNTS = (1, 2, 3, 1, 2, 2, 5, 3, 1, 8, 2, 2, 12, 5, 3, 1)
 
@@ -374,6 +377,16 @@ def test_class_count_nine_points():
     )
     assert len(serial) == A000112[9]
     assert serial == parallel
+
+
+def test_connected_counts_match_oeis():
+    counts = [enumeration_stats(k).by_filter["connected"] for k in range(1, 9)]
+    assert counts == list(A000608[:8])
+
+
+@pytest.mark.slow
+def test_connected_count_nine_points():
+    assert enumeration_stats(9).by_filter["connected"] == A000608[8]
 
 
 def stream_codes(k):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,10 +17,12 @@ from finito import (
     is_contractible,
     is_homotopy_equivalent,
     mccord_check,
+    osaki,
     osaki_closed_reduction,
     osaki_open_reduction,
     remove_point,
 )
+from finito import reduction
 from finito.poset import _bits
 from finito.reduction import BeatPointReport, ReductionTrace, _quotient
 
@@ -176,6 +179,76 @@ def test_osaki_quotients_pass_the_full_check(classes_upto):
                 q = reduce(p, x)
                 if q is not None:
                     assert FinitePoset(q.up, q.labels) == q
+
+
+def public_osaki_row(p, x, verdicts):
+    """(open, closed) at x from public pieces: the hypothesis on every
+    y != x, comparable or not, each intersection decided on its own induced
+    subposet (verdicts by mask, kept for p), and the count read off the
+    quotient the library builds."""
+
+    def contractible(inter):
+        if inter not in verdicts:
+            sub = p.subposet([z for z in range(p.n) if inter >> z & 1])
+            verdicts[inter] = is_contractible(sub)
+        return verdicts[inter]
+
+    row = []
+    for sets, reduce in ((p.down, osaki_open_reduction), (p.up, osaki_closed_reduction)):
+        holds = all(contractible(inter)
+                    for y in range(p.n) if y != x and (inter := sets[x] & sets[y]))
+        q = reduce(p, x)
+        assert (q is not None) == holds
+        row.append(q.n if holds else None)
+    return tuple(row)
+
+
+def public_osaki_table(p):
+    verdicts = {}
+    return [public_osaki_row(p, x, verdicts) for x in range(p.n)]
+
+
+def test_osaki_table_matches_public_oracle(classes_upto, osaki_x):
+    for p in classes_upto(7):
+        assert osaki(p) == public_osaki_table(p), p
+    assert osaki(osaki_x) == public_osaki_table(osaki_x)
+    assert all(count in (None, osaki_x.n) for row in osaki(osaki_x) for count in row)
+
+
+def layered_space(n, layers, seed):
+    """A space of n points in layers; each point above the bottom layer
+    covers each point of the layer below with probability 1/2, and at
+    least one of them."""
+    rng = random.Random(seed)
+    cuts = [n * i // layers for i in range(layers + 1)]
+    pairs = []
+    for lo, mid, hi in zip(cuts, cuts[1:], cuts[2:]):
+        for y in range(mid, hi):
+            below = [z for z in range(lo, mid) if rng.random() < 0.5]
+            pairs += [(z, y) for z in below or [rng.randrange(lo, mid)]]
+    return FinitePoset.from_cover_pairs(n, pairs)
+
+
+def test_osaki_decides_each_intersection_once(monkeypatch, osaki_x):
+    real = reduction._contractible
+    for p in (osaki_x, layered_space(14, 3, 1), layered_space(16, 4, 2)):
+        calls = Counter()
+
+        def counted(q, mask):
+            calls[mask] += 1
+            return real(q, mask)
+
+        monkeypatch.setattr(reduction, "_contractible", counted)
+        table = osaki(p)
+        monkeypatch.undo()
+        assert calls and max(calls.values()) == 1
+        assert table == public_osaki_table(p)
+        # the space repeats intersections across points, so the memo is used
+        per_point = sum(
+            len({sets[x] & sets[y] for y in range(p.n) if not p.comparable(x, y)} - {0})
+            for sets in (p.down, p.up) for x in range(p.n)
+        )
+        assert per_point > len(calls)
 
 
 def test_mccord_identity(ss0):
