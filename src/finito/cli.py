@@ -16,15 +16,13 @@ import functools
 import json
 import os
 import sys
-from collections import Counter
+import warnings
 
 from . import __version__
-from .errors import FinitoError, NotContinuousError
+from .errors import DuplicateCoverError, FinitoError, NotContinuousError
 from .fileio import FORMATS, emit, parse_map, parse_poset
 from .models import (
-    _listing,
-    _stats,
-    enumeration_stats,
+    _enumeration,
     sphere_model,
     verify_sphere_theorem,
     verify_wedge_theorem,
@@ -59,7 +57,13 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
-    doc = parse_poset(_read(path))
+    """The poset in the file and its document; each duplicate cover is one
+    ``warning:`` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DuplicateCoverError)
+        doc = parse_poset(_read(path))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return doc.to_poset(), doc
 
 
@@ -326,13 +330,7 @@ def cmd_enumerate(args) -> int:
             f"--workers must be from 1 to {cpus} (the CPU count), got {args.workers}"
         )
     name = _filter_name(args.filter) if args.filter else None
-    if args.emit:
-        listed = _listing(args.k, args.workers)
-        if name:
-            listed = [(code, names) for code, names in listed if name in names]
-        stats = _stats(args.k, Counter(n for _, names in listed for n in names))
-    else:
-        stats = enumeration_stats(args.k, workers=args.workers)
+    stats, codes = _enumeration(args.k, (name or "") if args.emit else None, args.workers)
     if name:
         count = stats.by_filter.get(name, 0)
         data = {"k": args.k, "filter": args.filter, "count": count}
@@ -342,7 +340,7 @@ def cmd_enumerate(args) -> int:
         heading = [f"k={args.k}: {stats.total} classes"]
         heading += [f"  {key:<12}{value}" for key, value in stats.by_filter.items()]
     # each class is decoded only as it is printed
-    classes = (FinitePoset._from_code(code) for code, _ in listed) if args.emit else ()
+    classes = (FinitePoset._from_code(code) for code in codes)
     if args.json:
         if args.emit:
             data["classes"] = [emit(p) for p in classes]

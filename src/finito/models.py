@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError
 from .order_complex import betti_numbers
@@ -210,21 +210,19 @@ def _filter_names(p: FinitePoset) -> list[str]:
     return [name for name, passed in checks if passed] + [f"height={p.height}"]
 
 
-def _tally(k: int, p: FinitePoset | None = None) -> Counter:
-    """Filter names of the k-point classes the walk builds from p, counted."""
-    return Counter(name for q in _walk(k, p) if q.n == k for name in _filter_names(q))
-
-
-def _named_codes(k: int, p: FinitePoset | None = None) -> list[tuple[bytes, tuple[str, ...]]]:
-    """(code, filter names) of each k-point class the walk builds from p;
-    equal name tuples are one object, so a pair costs little beyond its code."""
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    pairs = []
+def _census(k: int, p: FinitePoset | None = None, *,
+            want: str | None = None) -> tuple[Counter, list[bytes]]:
+    """Filter names of the k-point classes the walk builds from p, counted,
+    and the codes of those passing the filter named want, unsorted: of
+    every class for "", of none for None, so only these are labelled."""
+    tally, codes = Counter(), []
     for q in _walk(k, p):
         if q.n == k:
-            names = tuple(_filter_names(q))
-            pairs.append((q.canonical_form().code, shared.setdefault(names, names)))
-    return pairs
+            names = _filter_names(q)
+            tally.update(names)
+            if want == "" or want in names:
+                codes.append(q.canonical_form().code)
+    return tally, codes
 
 
 def _pooled(job, k: int, workers: int) -> list:
@@ -239,12 +237,6 @@ def _pooled(job, k: int, workers: int) -> list:
         frontier = [c for p in frontier for c in _children(p)]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(partial(job, k), frontier)
-
-
-def _listing(k: int, workers: int = 1) -> list[tuple[bytes, tuple[str, ...]]]:
-    """(code, filter names) of every k-point class, in code order: what
-    ``enumerate --emit`` lists and counts, held as codes, none decoded."""
-    return sorted(chain.from_iterable(_pooled(_named_codes, k, workers)))
 
 
 def enumerate_posets(k: int, *, workers: int = 1) -> Iterator[FinitePoset]:
@@ -264,20 +256,26 @@ class EnumerationStats:
     by_filter: dict[str, int] = field(default_factory=dict)
 
 
-def enumeration_stats(k: int, classes: Iterable[FinitePoset] | None = None, *,
-                      workers: int = 1) -> EnumerationStats:
-    """Counts over the k-point classes given, or else over those the workers
-    walk, none labelled or decoded for it."""
-    return _stats(k, sum(_pooled(_tally, k, workers), Counter()) if classes is None
-                  else Counter(name for p in classes for name in _filter_names(p)))
+def enumeration_stats(k: int, *, workers: int = 1) -> EnumerationStats:
+    """Counts over the k-point classes the workers walk, none labelled or
+    decoded for it."""
+    return _enumeration(k, None, workers)[0]
 
 
-def _stats(k: int, tally: Counter) -> EnumerationStats:
-    """The stats of k-point classes whose filter names are counted in tally."""
+def _enumeration(k: int, want: str | None, workers: int) -> tuple[EnumerationStats, list[bytes]]:
+    """The stats of the k-point classes and, in code order, the codes of
+    those passing the filter named want, as ``_census`` takes it, from one
+    walk the workers share."""
+    tally, codes = Counter(), []
+    for part, found in _pooled(partial(_census, want=want), k, workers):
+        tally += part
+        codes += found
     heights = {f"height={h}": tally[f"height={h}"]
                for h in range(1, k + 1) if f"height={h}" in tally}
-    return EnumerationStats(k, sum(heights.values()), {
+    stats = EnumerationStats(k, sum(heights.values()), {
         "connected": tally["connected"], "minimal": tally["minimal"], **heights})
+    codes.sort()
+    return stats, codes
 
 
 # -- theorem verification -------------------------------------------------------

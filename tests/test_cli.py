@@ -419,6 +419,27 @@ def test_emit_lists_the_enumerated_classes_and_decodes_only_those(capsys, monkey
     assert decoded == [p.canonical_form().code for p in minimal]
 
 
+def test_emit_labels_only_the_classes_it_prints(capsys, monkeypatch):
+    calls, form = [], FinitePoset.canonical_form
+    monkeypatch.setattr(FinitePoset, "canonical_form", lambda p: calls.append(p) or form(p))
+    for argv, printed in ((("--emit", "--filter", "minimal"), 36), (("--emit",), 2045), ((), 0)):
+        calls.clear()
+        code, out, _ = run(capsys, "enumerate", "7", *argv, "--json")
+        assert code == 0 and len(json.loads(out).get("classes", ())) == printed
+        assert len(calls) == printed
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
+def test_emit_with_two_workers_prints_the_same_bytes(capsys):
+    serial, parallel = (
+        run(capsys, "enumerate", "7", "--emit", "--filter", "connected", "--json",
+            "--workers", workers)
+        for workers in ("1", "2")
+    )
+    assert json.loads(serial[1])["count"] == 1650
+    assert serial == parallel
+
+
 def test_info_on_long_chain_and_cone(capsys, tmp_path):
     # the chain has 2^40 - 1 chains; b0 and b1 come from its one-point core
     n = 40
@@ -496,6 +517,17 @@ def test_empty_input_has_no_line_number(capsys, monkeypatch):
     code, out, err = run(capsys, "info", "-")
     assert code == 2 and out == ""
     assert err == "error: no points declared\n"
+
+
+def test_duplicate_cover_is_one_warning_line(cli_env):
+    once, twice = (
+        subprocess.run([sys.executable, "-m", "finito", "info"], input=text,
+                       capture_output=True, text=True, env=cli_env)
+        for text in ("a < b\n", "a < b\na < b\n")
+    )
+    assert twice.returncode == once.returncode == 0
+    assert twice.stdout == once.stdout and "points      2" in once.stdout
+    assert twice.stderr == "warning: line 2: duplicate cover a < b\n"
 
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))

@@ -188,7 +188,7 @@ def test_enumeration_cap():
 
 
 def test_enumeration_stats():
-    stats = enumeration_stats(5, enumerate_posets(5))
+    stats = enumeration_stats(5)
     assert stats.total == 63
     assert stats.by_filter["connected"] == 44
     assert stats.by_filter["minimal"] == 4
