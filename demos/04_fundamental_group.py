@@ -7,6 +7,7 @@ from finito import (
     HEdge,
     HPath,
     close_move,
+    core,
     edge_path_presentation,
     first_betti,
     loop_to_word,
@@ -40,6 +41,13 @@ chain = FinitePoset.chain(4)
 pres = edge_path_presentation(chain, 0)
 print("4-chain raw:", presentation_text(pres))
 print("4-chain simplified:", presentation_text(tietze_simplify(pres)))
+
+# The core is a strong deformation retract, so the group can be presented
+# on it instead, at the point the basepoint retracts to; `finito pi1` does
+# this.  The chain's core is one point, with nothing to simplify.
+trace = core(chain)
+print("4-chain on its core:",
+      presentation_text(edge_path_presentation(trace.final, trace.retract(0))))
 print()
 
 # first Betti number = rank of the abelianized group

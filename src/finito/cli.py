@@ -6,7 +6,9 @@ errors, 141 (128 + SIGPIPE) with nothing printed when the reader of
 standard output closes it early, as ``head`` does.  Every subcommand
 takes --json for a machine-readable mirror of the text output.  NO_COLOR
 disables ANSI styling.  ``enumerate`` and ``verify spheres`` refuse more
-than 10 points before any work.  ``python -m finito`` runs as ``finito``.
+than 10 points before any work, and ``sphere N --format faces`` refuses
+N > 10 (its face list has 3^(N+1) - 1 entries).  ``python -m finito`` runs
+as ``finito``.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ def cmd_homology(args) -> int:
 
 
 def cmd_pi1(args) -> int:
+    """π1 at the basepoint, computed on the core at the retracted basepoint:
+    the core is a strong deformation retract, so the groups agree.
+    ``base`` names the given basepoint; ``generators``, ``relators`` and
+    ``presentation`` describe the core's edge-path presentation, and
+    ``simplified`` and ``free_rank`` its Tietze simplification."""
     p, doc = _load(args.file)
     if args.base is not None:
         try:
@@ -147,7 +154,8 @@ def cmd_pi1(args) -> int:
             raise ValueError(f"basepoint {args.base!r} is not a point") from None
     else:
         base = doc.base if doc.base is not None else 0
-    pres = edge_path_presentation(p, base)
+    trace = core(p)
+    pres = edge_path_presentation(trace.final, trace.retract(base))
     simp = tietze_simplify(pres)
     rank = free_rank(simp)
     if args.json:
@@ -235,7 +243,13 @@ def cmd_mccord(args) -> int:
     return 0 if report.ok else 1
 
 
+MAX_FACES_DIM = 10  # the largest N whose face list ``sphere`` prints
+
+
 def cmd_sphere(args) -> int:
+    if args.format == "faces" and args.n > MAX_FACES_DIM:
+        raise ValueError(f"N={args.n} exceeds the face-list limit of N = {MAX_FACES_DIM}"
+                         f" (3^(N+1) - 1 faces)")
     p = sphere_model(args.n)
     fmt = "json" if args.json and args.format == "poset" else args.format
     print(emit(p, fmt), end="")
@@ -384,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("mapfile", help="lines of the form 'src -> dst'")
     sp = add("sphere", cmd_sphere, "emit the 2N+2 point sphere model")
     sp.add_argument("n", type=int)
-    sp.add_argument("--format", choices=FORMATS, default="poset")
+    sp.add_argument("--format", choices=FORMATS, default="poset",
+                    help=f"output format; faces needs N <= {MAX_FACES_DIM}")
 
     verify = sub.add_parser("verify", help="machine-check the classification results")
     vsub = verify.add_subparsers(dest="target", required=True)

@@ -43,6 +43,22 @@ class ReductionTrace:
     kept: tuple[int, ...]
     final: FinitePoset
 
+    def retract(self, x: int) -> int:
+        """Index in ``final`` of the point the removal log carries x to.
+
+        Each removed point's witness is followed until a kept point is
+        reached.  Removing a beat point retracts onto its witness, an order
+        preserving map, so this is the composite retraction of the space
+        onto its core.  A point out of range raises IndexError.
+        """
+        n = len(self.kept) + len(self.removed)
+        if not 0 <= x < n:
+            raise IndexError(f"point {x} out of range for n={n}")
+        witness = {r.element: r.witness for r in self.removed}
+        while x in witness:
+            x = witness[x]
+        return self.kept.index(x)
+
 
 def _beats(p: FinitePoset, alive: int) -> Iterator[BeatPointReport]:
     """Beat points of the subspace of the points in ``alive``, by index,

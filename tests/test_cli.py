@@ -7,17 +7,22 @@ from pathlib import Path
 import pytest
 
 import finito.cli
+import finito.fileio
 from finito import (
     FinitePoset,
     beat_points,
     emit,
+    edge_path_presentation,
     enumerate_posets,
     models,
     poset,
+    presentation_text,
+    tietze_simplify,
     verify_wedge_theorem,
     wedge_uniqueness_scan,
 )
 from finito.cli import main
+from finito.fileio import parse_poset
 
 COUNTER = """\
 c < a1
@@ -93,12 +98,118 @@ def test_homology_command(capsys, counter_file):
     assert json.loads(out) == {"betti": [1, 2], "torsion": [[], []]}
 
 
+PI1_TEXT = """\
+base          c
+presentation  < a, b | >
+simplified    < a, b | >
+free rank     2
+"""
+
+PI1_JSON = """\
+{
+  "base": "c",
+  "generators": 2,
+  "relators": [],
+  "presentation": "< a, b | >",
+  "simplified": "< a, b | >",
+  "free_rank": 2
+}
+"""
+
+
 def test_pi1_command(capsys, counter_file):
-    code, out, _ = run(capsys, "pi1", counter_file, "--base", "c", "--json")
-    assert code == 0
+    # X is minimal, so its core is X itself and every byte is as before
+    for base in ((), ("--base", "c")):
+        assert run(capsys, "pi1", counter_file, *base) == (0, PI1_TEXT, "")
+        assert run(capsys, "pi1", counter_file, *base, "--json") == (0, PI1_JSON, "")
+
+
+def full_space_presentation(path, base):
+    """The edge-path presentation of the whole space in the file."""
+    doc = parse_poset(Path(path).read_text())
+    return edge_path_presentation(doc.to_poset(), doc.labels.index(base))
+
+
+def full_space_pi1(path, base):
+    """``simplified`` of the edge-path presentation of the whole space."""
+    return presentation_text(tietze_simplify(full_space_presentation(path, base)))
+
+
+def check_pi1_on_the_core(capsys, tmp_path, classes):
+    path = tmp_path / "p.poset"
+    checked = 0
+    for p in classes:
+        if not p.is_connected():
+            continue
+        path.write_text(emit(p))
+        _, out, _ = run(capsys, "info", "--json", str(path))
+        b1 = json.loads(out)["b1"]
+        for base in parse_poset(path.read_text()).labels:
+            code, out, _ = run(capsys, "pi1", "--json", "--base", base, str(path))
+            data = json.loads(out)
+            assert code == 0 and data["base"] == base
+            assert data["simplified"] == full_space_pi1(path, base), (emit(p), base)
+            assert data["free_rank"] == b1, (emit(p), base)
+            checked += 1
+    return checked
+
+
+def test_pi1_on_the_core_matches_the_full_space(capsys, tmp_path, classes_upto):
+    # 1, 1, 3, 10, 44 and 238 connected classes of 1..6 points (OEIS A000608)
+    assert check_pi1_on_the_core(capsys, tmp_path, classes_upto(6)) == 1700
+
+
+@pytest.mark.slow
+def test_pi1_on_the_core_matches_the_full_space_at_seven_points(capsys, tmp_path, classes_upto):
+    seven = [p for p in classes_upto(7) if p.n == 7]  # 1650 of them connected
+    assert check_pi1_on_the_core(capsys, tmp_path, seven) == 11550
+
+
+SPHERE2 = "".join(f"{x} < {y}\n" for x in ("a0", "a1") for y in ("b0", "b1")) + "".join(
+    f"{x} < {y}\n" for x in ("b0", "b1") for y in ("c0", "c1"))
+
+
+def test_pi1_at_a_basepoint_the_core_removes(capsys, tmp_path):
+    # a point t added below a1 of the circle model, and below c1 of the
+    # sphere model; t is declared first, so the core removes it and
+    # retracts it to its witness, which the core's presentation is rooted at
+    sphere = tmp_path / "sphere.poset"
+    sphere.write_text(SPHERE2)
+    assert full_space_presentation(sphere, "c1") != full_space_presentation(sphere, "a0")
+    for space, witness, simplified, rank in (
+        ("a0 < b0\na0 < b1\na1 < b0\na1 < b1\n", "a1", "< a | >", 1),
+        (SPHERE2, "c1", "<  | >", 0),
+    ):
+        named, tagged, core_file = (tmp_path / f"{name}.poset" for name in ("n", "t", "c"))
+        named.write_text(f"t\n{space}t < {witness}\n")
+        tagged.write_text(named.read_text() + "@base t\n")
+        core_file.write_text(space)
+        rooted = full_space_presentation(core_file, witness)
+        for argv in (("--base", "t", str(named)), (str(tagged),)):
+            code, out, _ = run(capsys, "pi1", "--json", *argv)
+            data = json.loads(out)
+            assert code == 0 and data["base"] == "t"
+            assert data["generators"] == rooted.generators
+            assert data["relators"] == [list(r) for r in rooted.relators]
+            assert data["presentation"] == presentation_text(rooted)
+            assert data["simplified"] == full_space_pi1(named, "t") == simplified
+            assert data["free_rank"] == rank
+        assert run(capsys, "pi1", "--base", "t", str(named)) == run(capsys, "pi1", str(tagged))
+
+
+def test_pi1_of_long_chain_is_presented_on_one_point(capsys, tmp_path, monkeypatch):
+    n = 110
+    path = tmp_path / "chain.poset"
+    path.write_text("".join(f"p{x} < p{x + 1}\n" for x in range(n - 1)))
+    sizes, present = [], finito.cli.edge_path_presentation
+    monkeypatch.setattr(finito.cli, "edge_path_presentation",
+                        lambda p, x0: sizes.append(p.n) or present(p, x0))
+    code, out, _ = run(capsys, "pi1", "--json", str(path))
     data = json.loads(out)
-    assert data["generators"] == 2 and data["relators"] == []
-    assert data["free_rank"] == 2
+    assert code == 0 and data["base"] == "p0"
+    assert data["generators"] == 0 and data["relators"] == []
+    assert data["simplified"] == "<  | >" and data["free_rank"] == 0
+    assert sizes == [1]
 
 
 OSAKI_TEXT = """\
@@ -336,6 +447,24 @@ def test_enumeration_limit_is_named(capsys):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and asked in err and "limit of 10 points" in err
+
+
+def test_sphere_face_list_limit_is_named(capsys, monkeypatch):
+    def reached(*args):
+        raise AssertionError("the refusal comes before any work")
+
+    monkeypatch.setattr(finito.cli, "sphere_model", reached)
+    monkeypatch.setattr(finito.fileio, "order_complex", reached)
+    for n in ("11", "200"):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "sphere", n, "--format", "faces", *json_flag)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and f"N={n}" in err and "limit of N = 10" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "sphere", "200")
+    assert code == 0 and out.count("<") == 4 * 200
+    code, out, _ = run(capsys, "sphere", "2", "--format", "faces")
+    assert code == 0 and out.count("\n") == 3 ** 3 - 1
 
 
 def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):

@@ -88,6 +88,29 @@ def test_core_trace_replays(ex4, osaki_x):
         assert beat_points(trace.final) == []
 
 
+def test_retract_is_an_order_preserving_retraction(classes_upto):
+    # r maps into the kept points, fixes each of them and preserves the order
+    for p in classes_upto(6):
+        trace = core(p)
+        r = [trace.kept[trace.retract(x)] for x in range(p.n)]
+        assert set(r) <= set(trace.kept)
+        assert all(r[y] == y for y in trace.kept)
+        for x in range(p.n):
+            for y in _bits(p.up[x]):
+                assert p.leq(r[x], r[y]), (p, x, y)
+
+
+def test_retract_follows_witnesses_and_checks_its_point(ex4):
+    # d < b < a, c < a: b goes to d, c to a and then a to d, the kept point
+    trace = core(ex4)
+    assert [(r.element, r.witness) for r in trace.removed] == [(1, 3), (2, 0), (0, 3)]
+    assert trace.kept == (3,)
+    assert [trace.retract(x) for x in range(4)] == [0, 0, 0, 0]
+    for x in (-1, 4):
+        with pytest.raises(IndexError):
+            trace.retract(x)
+
+
 def random_order_core(p, rng):
     current = p
     while True:
