@@ -23,13 +23,13 @@ print("cl{d} =", sorted(space.label(x) for x in space.closure(d)))
 
 # Covers (the Hasse diagram) are recovered by transitive reduction
 print("covers:", sorted(
-    (space.label(x), space.label(y)) for x, y in space.hasse().covers
+    (space.label(x), space.label(y)) for x, y in space.covers
 ))
 
 # The opposite space reverses the order; doing it twice is a no-op.
 op = space.opposite()
 print("opposite covers:", sorted(
-    (op.label(x), op.label(y)) for x, y in op.hasse().covers
+    (op.label(x), op.label(y)) for x, y in op.covers
 ))
 assert op.opposite() == space
 

@@ -65,7 +65,7 @@ from .pi1 import (
     spanning_tree,
     tietze_simplify,
 )
-from .poset import CanonicalForm, FinitePoset, HasseDiagram
+from .poset import FinitePoset
 from .reduction import (
     BeatPointReport,
     McCordReport,

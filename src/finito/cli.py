@@ -7,8 +7,9 @@ standard output closes it early, as ``head`` does.  Every subcommand
 takes --json for a machine-readable mirror of the text output.  NO_COLOR
 disables ANSI styling.  ``enumerate`` and ``verify spheres`` refuse more
 than 10 points before any work, and ``sphere N --format faces`` refuses
-N > 10 (its face list has 3^(N+1) - 1 entries).  ``python -m finito`` runs
-as ``finito``.
+N > 10 (its face list has 3^(N+1) - 1 entries).  ``sphere`` refuses
+--json with --format dot or faces.  ``python -m finito`` runs as
+``finito``.
 """
 
 from __future__ import annotations
@@ -250,9 +251,10 @@ def cmd_sphere(args) -> int:
     if args.format == "faces" and args.n > MAX_FACES_DIM:
         raise ValueError(f"N={args.n} exceeds the face-list limit of N = {MAX_FACES_DIM}"
                          f" (3^(N+1) - 1 faces)")
-    p = sphere_model(args.n)
-    fmt = "json" if args.json and args.format == "poset" else args.format
-    print(emit(p, fmt), end="")
+    if args.json and args.format in ("dot", "faces"):
+        raise ValueError(f"--json cannot be combined with --format {args.format}")
+    fmt = "json" if args.json else args.format
+    print(emit(sphere_model(args.n), fmt), end="")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DuplicateCoverError, ParseError
 from .order_complex import faces_text, order_complex
-from .poset import FinitePoset, HasseDiagram
+from .poset import FinitePoset
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+$")
 
@@ -26,8 +26,9 @@ FORMATS = ("poset", "json", "dot", "faces")
 class PosetDocument:
     """Parsed poset file: labels, cover pairs (as indices) and basepoint.
 
-    The order is closed and checked once, on construction, which raises
-    CycleError for a cyclic cover relation.
+    The order is closed and checked once, on construction, by
+    ``FinitePoset.from_cover_pairs``, which raises CycleError for a cyclic
+    cover relation.
     """
 
     labels: tuple[str, ...]
@@ -36,10 +37,8 @@ class PosetDocument:
     _poset: FinitePoset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_poset", FinitePoset.from_covers(self.to_hasse()))
-
-    def to_hasse(self) -> HasseDiagram:
-        return HasseDiagram(len(self.labels), frozenset(self.covers), self.labels)
+        poset = FinitePoset.from_cover_pairs(len(self.labels), self.covers, self.labels)
+        object.__setattr__(self, "_poset", poset)
 
     def to_poset(self) -> FinitePoset:
         return self._poset
@@ -130,10 +129,9 @@ def emit(p: FinitePoset, format: str = "poset", base: int | None = None) -> str:
 
 
 def _emit_poset(p: FinitePoset, base: int | None) -> str:
-    covers = sorted(p.hasse().covers)
-    touched = {v for pair in covers for v in pair}
+    touched = {v for pair in p.covers for v in pair}
     lines = [_emittable_label(p, x) for x in range(p.n) if x not in touched]
-    lines += [f"{_emittable_label(p, x)} < {_emittable_label(p, y)}" for x, y in covers]
+    lines += [f"{_emittable_label(p, x)} < {_emittable_label(p, y)}" for x, y in p.covers]
     if base is not None:
         lines.append(f"@base {_emittable_label(p, base)}")
     return "\n".join(lines) + "\n"
@@ -142,7 +140,7 @@ def _emit_poset(p: FinitePoset, base: int | None) -> str:
 def _emit_json(p: FinitePoset, base: int | None) -> str:
     doc = {
         "labels": [p.label(x) for x in range(p.n)],
-        "covers": [[p.label(x), p.label(y)] for x, y in sorted(p.hasse().covers)],
+        "covers": [[p.label(x), p.label(y)] for x, y in p.covers],
         "base": p.label(base) if base is not None else None,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -157,7 +155,7 @@ def _emit_dot(p: FinitePoset) -> str:
     for level in sorted(by_level):
         names = " ".join(f'"{p.label(x)}";' for x in by_level[level])
         lines.append(f"  {{ rank=same; {names} }}")
-    for x, y in sorted(p.hasse().covers):
+    for x, y in p.covers:
         lines.append(f'  "{p.label(x)}" -> "{p.label(y)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -201,7 +201,7 @@ def _walk(k: int, p: FinitePoset | None = None) -> Iterator[FinitePoset]:
 
 
 def _top_codes(k: int, p: FinitePoset | None = None) -> list[bytes]:
-    return [q.canonical_form().code for q in _walk(k, p) if q.n == k]
+    return [q.canonical_form() for q in _walk(k, p) if q.n == k]
 
 
 def _filter_names(p: FinitePoset) -> list[str]:
@@ -221,7 +221,7 @@ def _census(k: int, p: FinitePoset | None = None, *,
             names = _filter_names(q)
             tally.update(names)
             if want == "" or want in names:
-                codes.append(q.canonical_form().code)
+                codes.append(q.canonical_form())
     return tally, codes
 
 
@@ -329,7 +329,7 @@ def verify_sphere_theorem(h: int) -> SphereTheoremReport:
     points, and the equality cases are exactly the sphere models.  The
     classes of each size are counted.  2 <= h <= MAX_POINTS // 2."""
     if h < 2:
-        raise ValueError("verification starts at height 2")
+        raise ValueError(f"max height must be at least 2, got {h}")
     if 2 * h > MAX_POINTS:
         raise CapExceededError(f"max height {h} needs {2 * h} points, beyond the"
                                f" enumeration limit of {MAX_POINTS} points")
@@ -373,7 +373,7 @@ def enumerate_wedge_minimal_models(n: int) -> list[FinitePoset]:
             rows = [1 << b | tops for b in range(j)] + [1 << t for t in range(j, size)]
             for b, bit in missing:
                 rows[b] ^= bit
-            codes.add(FinitePoset._trusted(tuple(rows)).canonical_form().code)
+            codes.add(FinitePoset._trusted(tuple(rows)).canonical_form())
     return list(map(FinitePoset._from_code, sorted(codes)))
 
 
@@ -411,12 +411,12 @@ def verify_wedge_theorem(max_n: int) -> WedgeTheoremReport:
     report = WedgeTheoremReport()
     for n in range(1, max_n + 1):
         models = enumerate_wedge_minimal_models(n)
-        codes = {p.canonical_form().code for p in models}
+        codes = {p.canonical_form() for p in models}
         bad = [
             p for p in models
             if not (cert := check_wedge_model(p, n)).all_satisfied
             or not cert.connected or cert.b1 != n
-            or p.opposite().canonical_form().code not in codes
+            or p.opposite().canonical_form() not in codes
         ]
         report.violators += bad
         size, count, square = minimal_wedge_size(n), len(models), is_square(n)

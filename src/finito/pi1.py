@@ -66,7 +66,7 @@ class HPath:
 def validate_path(p: FinitePoset, path: HPath) -> None:
     """Raise IllFormedPathError unless every step is a cover edge and
     consecutive steps compose."""
-    covers = p.hasse().covers
+    covers = set(p.covers)
     at = path.basepoint
     for e in path.edges:
         if e.origin != at:

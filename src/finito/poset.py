@@ -4,11 +4,15 @@ The order relation is stored as bit-rows: ``up[x]`` is the bitmask of all
 ``y`` with ``x <= y`` (including ``x`` itself).  Every value is immutable
 after construction and every operation is a pure function, so instances can
 be shared freely between threads.
+
+A cover relation from outside is checked in one place,
+``FinitePoset.from_cover_pairs``; ``FinitePoset.covers`` gives the cover
+relation (the Hasse diagram) back as sorted pairs, unchecked.  The canonical
+code of ``canonical_form`` is plain ``bytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -26,48 +30,6 @@ def _check_point(p: "FinitePoset", x: int) -> None:
     """IndexError unless x is a point of p, i.e. in 0..n-1."""
     if not 0 <= x < p.n:
         raise IndexError(f"point {x} out of range for n={p.n}")
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Order-invariant fingerprint: equal codes iff order-isomorphic."""
-
-    code: bytes
-
-
-@dataclass(frozen=True)
-class HasseDiagram:
-    """Cover relation (x, y) meaning x is covered by y.
-
-    This is where a cover relation from outside is checked: construction
-    rejects points out of range, self-loops, directed cycles and a label
-    list of the wrong length, and keeps the topological order it found as
-    ``order``.  The edge set is not required to be transitively reduced
-    (``FinitePoset.from_covers`` closes over redundant edges and ``hasse``
-    re-normalizes).
-    """
-
-    n: int
-    covers: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise EmptyError("a finite space needs at least one point")
-        for x, y in self.covers:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise IndexError(f"cover ({x}, {y}) out of range for n={self.n}")
-            if x == y:
-                raise CycleError(f"self-loop at {x}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.n:
-                raise ValueError("labels length must equal point count")
-        object.__setattr__(self, "order", _toposort(self.n, self.covers))
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels else str(x)
 
 
 def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -140,30 +102,42 @@ class FinitePoset:
         return self
 
     @classmethod
-    def from_covers(cls, h: HasseDiagram) -> "FinitePoset":
-        """Reflexive-transitive closure of a cover relation.
-
-        Redundant (non-reduced) edges are tolerated and closed over.  The
-        closure of an acyclic relation is a partial order, so it is not
-        checked again.
-        """
-        up = [1 << x for x in range(h.n)]
-        above = [[] for _ in range(h.n)]
-        for x, y in h.covers:
-            above[x].append(y)
-        for x in reversed(h.order):
-            for y in above[x]:
-                up[x] |= up[y]
-        return cls._trusted(up, h.labels)
-
-    @classmethod
     def from_cover_pairs(
         cls,
         n: int,
         pairs: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "FinitePoset":
-        return cls.from_covers(HasseDiagram(n, frozenset(pairs), labels))
+        """Reflexive-transitive closure of the cover pairs (x, y), x covered
+        by y, on points 0..n-1.
+
+        This is where a cover relation from outside is checked: EmptyError
+        for n < 1, IndexError for a pair out of range, CycleError for a
+        self-loop or a directed cycle, ValueError for a label list of the
+        wrong length.  Redundant (non-reduced) pairs are tolerated and
+        closed over.  The closure of an acyclic relation is a partial order,
+        so it is not checked again.
+        """
+        if n < 1:
+            raise EmptyError("a finite space needs at least one point")
+        pairs = frozenset(pairs)
+        for x, y in pairs:
+            if not (0 <= x < n and 0 <= y < n):
+                raise IndexError(f"cover ({x}, {y}) out of range for n={n}")
+            if x == y:
+                raise CycleError(f"self-loop at {x}")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError("labels length must equal point count")
+        up = [1 << x for x in range(n)]
+        above = [[] for _ in range(n)]
+        for x, y in pairs:
+            above[x].append(y)
+        for x in reversed(_toposort(n, pairs)):
+            for y in above[x]:
+                up[x] |= up[y]
+        return cls._trusted(up, labels)
 
     @classmethod
     def chain(cls, k: int) -> "FinitePoset":
@@ -294,31 +268,36 @@ class FinitePoset:
         return FinitePoset._trusted(up, labels)
 
     def relabel(self, perm: Sequence[int]) -> "FinitePoset":
-        """Copy with point i of the result being point perm[i] of self."""
+        """Copy with point i of the result being point perm[i] of self.
+
+        ``perm`` must be a permutation of 0..n-1: a list of another length
+        or with a repeated point raises ValueError, a point out of range
+        IndexError."""
+        if len(perm) != self.n:
+            raise ValueError(f"a relabelling lists {len(perm)} points, but the space has {self.n}")
         return self.subposet(perm)
 
-    def hasse(self) -> HasseDiagram:
-        """Transitive reduction: covers (x, y) with nothing strictly between."""
-        return self._hasse
-
     @cached_property
-    def _hasse(self) -> HasseDiagram:
-        covers = set()
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction, the Hasse diagram: the pairs (x, y) with
+        x < y and nothing strictly between, sorted."""
+        covers = []
         for x in range(self.n):
             strict = self.up[x] & ~(1 << x)
             for y in _bits(strict):
                 if not strict & (self.down[y] & ~(1 << y)):
-                    covers.add((x, y))
-        return HasseDiagram(self.n, frozenset(covers), self.labels)
+                    covers.append((x, y))
+        return tuple(covers)
 
-    @cached_property
+    @property
     def cover_count(self) -> int:
-        return len(self.hasse().covers)
+        return len(self.covers)
 
     # -- canonical form ----------------------------------------------------
 
-    def canonical_form(self) -> CanonicalForm:
-        """Isomorphism-class fingerprint.
+    def canonical_form(self) -> bytes:
+        """Isomorphism-class fingerprint, the canonical code: equal codes iff
+        order-isomorphic.
 
         Partition refinement on (level, out/in degree) invariants, then
         backtracking over the remaining cell choices, keeping the
@@ -336,10 +315,9 @@ class FinitePoset:
         search, so enumeration labels each class at most once."""
         enc, self._canon_last, self._aut = _canonical_encoding(self)
         nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
-        code = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
-        self._canon = CanonicalForm(code)
+        self._canon = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
 
-    _canon: CanonicalForm | None = None
+    _canon: bytes | None = None
     # Point placed last by the labelling that gave ``_canon`` (a maximal
     # point with the largest (level, down-set size)) and generators of Aut(p)
     # that it found.  None while unlabelled, as a class accepted by
@@ -361,7 +339,7 @@ class FinitePoset:
                 if (enc >> bitpos) & 1:
                     rows[i] |= 1 << j
         p = cls._trusted(rows)
-        p._canon = CanonicalForm(code)
+        p._canon = code
         return p
 
     def is_homeomorphic(self, other: "FinitePoset") -> bool:
@@ -384,9 +362,8 @@ class FinitePoset:
         return hash((self.n, self.up))
 
     def __repr__(self):
-        pairs = sorted(self.hasse().covers)
         iso = [x for x in range(self.n) if self.up[x] == self.down[x] == 1 << x]
-        parts = [f"{x}<{y}" for x, y in pairs] + [str(x) for x in iso]
+        parts = [f"{x}<{y}" for x, y in self.covers] + [str(x) for x in iso]
         return f"FinitePoset({self.n}; {' '.join(parts)})"
 
 

@@ -44,7 +44,7 @@ def classes_upto():
         if len(levels) < k:
             codes = [[] for _ in range(k)]
             for p in _walk(k):
-                codes[p.n - 1].append(p.canonical_form().code)
+                codes[p.n - 1].append(p.canonical_form())
             levels[:] = [tuple(map(FinitePoset._from_code, sorted(c))) for c in codes]
         return [p for level in levels[:k] for p in level]
 

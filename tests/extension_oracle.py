@@ -48,13 +48,13 @@ def extensions(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def oracle_codes(max_k: int) -> list[tuple[bytes, ...]]:
     """Sorted canonical codes of the k-point classes for k = 1..max_k."""
-    level = {FinitePoset((1,)).canonical_form().code: (1,)}
+    level = {FinitePoset((1,)).canonical_form(): (1,)}
     out = [tuple(sorted(level))]
     for _ in range(max_k - 1):
         found = {}
         for rows in level.values():
             for child in extensions(rows):
-                code = FinitePoset._trusted(child).canonical_form().code
+                code = FinitePoset._trusted(child).canonical_form()
                 found.setdefault(code, child)
         level = found
         out.append(tuple(sorted(level)))

@@ -39,7 +39,7 @@ def labelled_children(parent: FinitePoset) -> list[FinitePoset]:
             [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
         child.__dict__["down"] = down + (ideal | top,)
         child.__dict__["levels"] = levels + (key[0],)
-        code = child.canonical_form().code
+        code = child.canonical_form()
         if code in seen:
             continue
         seen.add(code)

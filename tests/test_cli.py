@@ -467,6 +467,32 @@ def test_sphere_face_list_limit_is_named(capsys, monkeypatch):
     assert code == 0 and out.count("\n") == 3 ** 3 - 1
 
 
+def test_sphere_json_with_dot_or_faces_is_refused(capsys, monkeypatch):
+    def reached(*args):
+        raise AssertionError("the refusal comes before any work")
+
+    monkeypatch.setattr(finito.cli, "sphere_model", reached)
+    for n in ("1", "3"):
+        for fmt in ("dot", "faces"):
+            code, out, err = run(capsys, "sphere", n, "--format", fmt, "--json")
+            assert code == 2 and out == ""
+            assert err == f"error: --json cannot be combined with --format {fmt}\n"
+    monkeypatch.undo()
+    code, as_flag, _ = run(capsys, "sphere", "2", "--json")
+    assert code == 0 and json.loads(as_flag)["labels"] == [str(x) for x in range(6)]
+    for argv in (("--format", "json"), ("--format", "json", "--json"), ("--format", "poset", "--json")):
+        code, out, _ = run(capsys, "sphere", "2", *argv)
+        assert code == 0 and out == as_flag
+
+
+def test_sphere_scan_below_height_two_names_the_height(capsys):
+    for h in ("0", "1"):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "verify", "spheres", "--max-h", h, *json_flag)
+            assert code == 2 and out == ""
+            assert err == f"error: max height must be at least 2, got {h}\n"
+
+
 def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):
     code, _, err = run(capsys, "pi1", counter_file, "--base", "z")
     assert code == 2
@@ -545,7 +571,7 @@ def test_emit_lists_the_enumerated_classes_and_decodes_only_those(capsys, monkey
     decoded.clear()
     code, out, _ = run(capsys, "enumerate", str(k), "--emit", "--filter", "minimal", "--json")
     assert json.loads(out)["classes"] == [emit(p) for p in minimal]
-    assert decoded == [p.canonical_form().code for p in minimal]
+    assert decoded == [p.canonical_form() for p in minimal]
 
 
 def test_emit_labels_only_the_classes_it_prints(capsys, monkeypatch):

@@ -44,8 +44,8 @@ WEDGE_COUNTS = (1, 2, 3, 1, 2, 2, 5, 3, 1, 8, 2, 2, 12, 5, 3, 1)
 def assert_wedge_models_match_oracle(ns):
     found = wedge_models_by_enumeration(ns)
     for n in ns:
-        codes = [p.canonical_form().code for p in enumerate_wedge_minimal_models(n)]
-        assert codes == [p.canonical_form().code for p in found[n]]
+        codes = [p.canonical_form() for p in enumerate_wedge_minimal_models(n)]
+        assert codes == [p.canonical_form() for p in found[n]]
 
 
 def labeled_poset_count_oracle(k):
@@ -75,7 +75,7 @@ def labeled_poset_count_oracle(k):
                 break
         if ok:
             labeled += 1
-            codes.add(FinitePoset(rows).canonical_form().code)
+            codes.add(FinitePoset(rows).canonical_form())
     return labeled, codes
 
 
@@ -160,7 +160,7 @@ def test_enumeration_against_labeled_oracle():
     for k in range(1, 5):
         labeled, codes = labeled_poset_count_oracle(k)
         assert labeled == expected_labeducts[k]
-        assert codes == {p.canonical_form().code for p in enumerate_posets(k)}
+        assert codes == {p.canonical_form() for p in enumerate_posets(k)}
 
 
 def test_enumeration_two_and_three_points():
@@ -175,7 +175,7 @@ def test_enumeration_two_and_three_points():
 
 
 def test_enumeration_is_sorted_and_valid():
-    codes = [p.canonical_form().code for p in enumerate_posets(6)]
+    codes = [p.canonical_form() for p in enumerate_posets(6)]
     assert codes == sorted(codes)
     for p in enumerate_posets(5):
         FinitePoset(p.up)  # revalidate the trusted representative
@@ -289,8 +289,8 @@ def test_wedge_three_models():
         assert m.n == 6 and m.cover_count == 8
         cert = check_wedge_model(m, 3)
         assert cert.connected and cert.b1 == 3
-    forms = {m.canonical_form().code for m in models}
-    assert {m.opposite().canonical_form().code for m in models} == forms
+    forms = {m.canonical_form() for m in models}
+    assert {m.opposite().canonical_form() for m in models} == forms
 
 
 def test_wedge_models_are_minimal_spaces():
@@ -351,13 +351,13 @@ def test_wedge_generator_matches_enumeration_oracle_nine_points():
 def test_wedge_models_closed_under_opposite_up_to_cap():
     for n in range(1, 17):
         models = enumerate_wedge_minimal_models(n)
-        codes = {m.canonical_form().code for m in models}
-        assert {m.opposite().canonical_form().code for m in models} == codes
+        codes = {m.canonical_form() for m in models}
+        assert {m.opposite().canonical_form() for m in models} == codes
 
 
 def test_enumeration_reproducible_fresh_and_parallel():
     serial, again, parallel = (
-        [p.canonical_form().code for p in enumerate_posets(6, workers=workers)]
+        [p.canonical_form() for p in enumerate_posets(6, workers=workers)]
         for workers in (1, 1, 2)
     )
     assert serial == again == parallel
@@ -372,7 +372,7 @@ def test_class_counts_match_oeis():
 def test_class_count_nine_points():
     # with two workers the subtrees are split at 6 points, a real depth
     serial, parallel = (
-        [p.canonical_form().code for p in enumerate_posets(9, workers=workers)]
+        [p.canonical_form() for p in enumerate_posets(9, workers=workers)]
         for workers in (1, 2)
     )
     assert len(serial) == A000112[9]
@@ -394,7 +394,7 @@ def stream_codes(k):
     size, from one depth-first pass."""
     codes = [[] for _ in range(k)]
     for p in models._walk(k):
-        codes[p.n - 1].append(p.canonical_form().code)
+        codes[p.n - 1].append(p.canonical_form())
     return [tuple(sorted(c)) for c in codes]
 
 
@@ -484,8 +484,8 @@ def test_orbit_accepted_children_match_labelled_ones():
     # or every child is labelled and merged by code and tested by deletion;
     # 8-point children include the pseudo-similar class below
     for parent in models._walk(7):
-        accepted = Counter(c.canonical_form().code for c in models._children(parent))
-        labelled = Counter(c.canonical_form().code for c in labelled_children(parent))
+        accepted = Counter(c.canonical_form() for c in models._children(parent))
+        labelled = Counter(c.canonical_form() for c in labelled_children(parent))
         assert accepted == labelled
 
 
@@ -493,7 +493,7 @@ def test_each_class_has_one_canonical_parent():
     parents = [next(models._walk(1))]
     for level in stream_codes(7)[1:]:
         children = [child for parent in parents for child in models._children(parent)]
-        accepted = Counter(child.canonical_form().code for child in children)
+        accepted = Counter(child.canonical_form() for child in children)
         assert set(accepted) == set(level)
         assert max(accepted.values()) == 1
         parents = children

@@ -38,7 +38,7 @@ from tietze_oracle import tietze_simplify as rescanning_tietze
 def cover_steps(p, x):
     """H-edges leaving x, in either direction."""
     out = []
-    for (a, b) in p.hasse().covers:
+    for (a, b) in p.covers:
         if a == x:
             out.append(HEdge(a, b))
         if b == x:
@@ -71,11 +71,11 @@ def monotonic_detour(p, a, rng, depth=2):
     for _ in range(rng.randrange(1, depth + 1)):
         if goes_up:
             options = [
-                HEdge(at, y) for (x, y) in p.hasse().covers if x == at
+                HEdge(at, y) for (x, y) in p.covers if x == at
             ]
         else:
             options = [
-                HEdge(at, x) for (x, y) in p.hasse().covers if y == at
+                HEdge(at, x) for (x, y) in p.covers if y == at
             ]
         if not options:
             break
@@ -92,13 +92,13 @@ def monotonic_detour(p, a, rng, depth=2):
         if goes_up:
             options = [
                 HEdge(cur, x)
-                for (x, y) in p.hasse().covers
+                for (x, y) in p.covers
                 if y == cur and p.leq(lo, x)
             ]
         else:
             options = [
                 HEdge(cur, y)
-                for (x, y) in p.hasse().covers
+                for (x, y) in p.covers
                 if x == cur and p.leq(y, hi)
             ]
         e = rng.choice(options)

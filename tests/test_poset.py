@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finito import CycleError, EmptyError, FinitePoset, HasseDiagram
+from finito import CycleError, EmptyError, FinitePoset
 from finito.models import enumerate_posets, nh_suspension
 
 
@@ -31,7 +31,7 @@ def brute_chains(p):
 
 
 def test_singleton_from_covers():
-    p = FinitePoset.from_covers(HasseDiagram(1, frozenset()))
+    p = FinitePoset.from_cover_pairs(1, [])
     assert p.n == 1 and p.height == 1
     assert p.min_open(0) == {0} and p.closure(0) == {0}
 
@@ -62,37 +62,48 @@ def test_from_covers_suspension(ss0):
 
 
 def test_from_covers_rejects_cycles_and_empty():
-    with pytest.raises(CycleError):
-        FinitePoset.from_cover_pairs(2, [(0, 1), (1, 0)])
-    with pytest.raises(EmptyError):
-        HasseDiagram(0, frozenset())
-    with pytest.raises(ValueError):
-        FinitePoset.from_cover_pairs(2, [], labels=["a"])
+    """Each check of ``from_cover_pairs``, with its exception and message."""
+    cases = [
+        ((0, []), EmptyError, "a finite space needs at least one point"),
+        ((2, [(0, 2)]), IndexError, "cover (0, 2) out of range for n=2"),
+        ((2, [(-1, 0)]), IndexError, "cover (-1, 0) out of range for n=2"),
+        ((2, [(1, 1)]), CycleError, "self-loop at 1"),
+        ((2, [(0, 1), (1, 0)]), CycleError, "cover relation contains a directed cycle"),
+        ((4, [(0, 1), (1, 2), (2, 0), (0, 3)]), CycleError,
+         "cover relation contains a directed cycle"),
+        ((2, [], ["a"]), ValueError, "labels length must equal point count"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as info:
+            FinitePoset.from_cover_pairs(*args)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def test_from_covers_tolerates_redundant_edges():
     p = FinitePoset.from_cover_pairs(3, [(0, 1), (1, 2), (0, 2)])
     assert p == FinitePoset.chain(3)
-    assert sorted(p.hasse().covers) == [(0, 1), (1, 2)]
+    assert p.covers == ((0, 1), (1, 2))
 
 
 def test_hasse_chain():
-    assert sorted(FinitePoset.chain(3).hasse().covers) == [(0, 1), (1, 2)]
+    assert FinitePoset.chain(3).covers == ((0, 1), (1, 2))
 
 
-def test_hasse_matches_brute_reduction(ss0, ex4):
-    for p in (ss0, ex4, FinitePoset.chain(4), FinitePoset.antichain(3)):
-        assert set(p.hasse().covers) == brute_reduction(p)
-    assert len(ss0.hasse().covers) == 4
-    assert FinitePoset.antichain(5).hasse().covers == frozenset()
+def test_hasse_matches_brute_reduction(ss0, ex4, classes_upto):
+    for p in (ss0, ex4, FinitePoset.chain(4), FinitePoset.antichain(3), *classes_upto(6)):
+        assert set(p.covers) == brute_reduction(p)
+        assert list(p.covers) == sorted(p.covers)
+        assert p.cover_count == len(p.covers)
+    assert len(ss0.covers) == 4
+    assert FinitePoset.antichain(5).covers == ()
 
 
 def test_hasse_round_trip_enumerated(classes_upto):
     for p in classes_upto(5):
-        h = p.hasse()
-        q = FinitePoset.from_covers(h)
+        q = FinitePoset.from_cover_pairs(p.n, p.covers)
         assert q == p
-        assert q.hasse() == h
+        assert q.covers == p.covers
 
 
 def test_min_open_and_closure(ex4, ss0):
@@ -118,7 +129,7 @@ def test_opposite(ss0, wedge5):
     assert a.opposite() == a
     assert ss0.opposite().opposite() == ss0
     assert ss0.opposite().is_homeomorphic(ss0)
-    s2 = FinitePoset.from_covers(ss0.hasse())
+    s2 = FinitePoset.from_cover_pairs(ss0.n, ss0.covers)
     assert not wedge5.is_homeomorphic(wedge5.opposite())
     assert wedge5.opposite().opposite().is_homeomorphic(wedge5)
     assert s2.opposite().is_homeomorphic(ss0)
@@ -181,7 +192,7 @@ def test_canonical_form_separates_classes(wedge5):
 def test_canonical_form_is_complete_on_small_classes():
     # distinct enumerated classes never collide
     for k in range(1, 6):
-        codes = [p.canonical_form().code for p in enumerate_posets(k)]
+        codes = [p.canonical_form() for p in enumerate_posets(k)]
         assert len(codes) == len(set(codes))
 
 
@@ -239,6 +250,18 @@ def test_subposet_induced_order():
         c.subposet([0, 0])
     with pytest.raises(IndexError):
         c.subposet([5])
+
+
+def test_relabel_needs_a_permutation():
+    c = FinitePoset.chain(3)
+    for perm in ([0], [], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match=f"lists {len(perm)} points, but the space has 3"):
+            c.relabel(perm)
+    with pytest.raises(ValueError):
+        c.relabel([0, 0, 1])
+    with pytest.raises(IndexError):
+        c.relabel([0, 1, 3])
+    assert c.relabel([2, 1, 0]) == c.opposite()
 
 
 def test_derived_orders_pass_the_full_check(classes_upto):
