@@ -10,14 +10,14 @@ b < a
 c < a
 """
 
-doc = parse_poset(text)
-space = doc.to_poset()
+# parse_poset gives the labelled poset and the @base point (None here)
+space, _ = parse_poset(text)
 print("points:", [space.label(x) for x in range(space.n)])
 print("height:", space.height)
 
 # The minimal open set of a point is its down-set; the closure its up-set.
-b = doc.labels.index("b")
-d = doc.labels.index("d")
+b = space.labels.index("b")
+d = space.labels.index("d")
 print("U_b =", sorted(space.label(x) for x in space.min_open(b)))
 print("cl{d} =", sorted(space.label(x) for x in space.closure(d)))
 

@@ -24,7 +24,7 @@ from .errors import (
     NotContinuousError,
     ParseError,
 )
-from .fileio import PosetDocument, emit, parse_poset
+from .fileio import emit, parse_poset
 from .models import (
     EnumerationStats,
     WedgeModelCertificate,
@@ -82,4 +82,20 @@ from .reduction import (
     remove_point,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [  # the names imported above; no submodule
+    "BeatPointReport", "CapExceededError", "CycleError", "DuplicateCoverError",
+    "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError", "FlattenBlockedError",
+    "GroupPresentation", "HEdge", "HPath", "HomologySummary", "IllFormedMoveError",
+    "IllFormedPathError", "LastPointError", "McCordReport", "NotConnectedError",
+    "NotContinuousError", "ParseError", "ReductionTrace", "SimplicialComplex",
+    "WedgeModelCertificate", "beat_points", "betti_numbers", "bipartite_model",
+    "check_wedge_model", "close_move", "core", "edge_path_presentation", "emit",
+    "enumerate_posets", "enumerate_wedge_minimal_models", "enumeration_stats",
+    "euler_characteristic", "f_vector", "faces_text", "first_betti", "flatten_to_height2",
+    "free_rank", "homology", "is_contractible", "is_homotopy_equivalent", "is_monotonic",
+    "loop_to_word", "mccord_check", "minimal_wedge_size", "nh_suspension", "order_complex",
+    "osaki", "osaki_closed_reduction", "osaki_open_reduction", "parse_poset",
+    "poset_homology", "presentation_text", "remove_point", "spanning_tree", "sphere_model",
+    "tietze_simplify", "verify_sphere_theorem", "verify_wedge_theorem",
+    "wedge_uniqueness_scan",
+]

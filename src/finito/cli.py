@@ -60,14 +60,14 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
-    """The poset in the file and its document; each duplicate cover is one
-    ``warning:`` line on stderr."""
+    """The poset in the file and its ``@base`` index (None without one);
+    each duplicate cover is one ``warning:`` line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DuplicateCoverError)
-        doc = parse_poset(_read(path))
+        p, base = parse_poset(_read(path))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return doc.to_poset(), doc
+    return p, base
 
 
 def _emit_json(obj) -> int:
@@ -147,14 +147,14 @@ def cmd_pi1(args) -> int:
     ``base`` names the given basepoint; ``generators``, ``relators`` and
     ``presentation`` describe the core's edge-path presentation, and
     ``simplified`` and ``free_rank`` its Tietze simplification."""
-    p, doc = _load(args.file)
+    p, base = _load(args.file)
     if args.base is not None:
         try:
-            base = doc.labels.index(args.base)
+            base = p.labels.index(args.base)
         except ValueError:
             raise ValueError(f"basepoint {args.base!r} is not a point") from None
-    else:
-        base = doc.base if doc.base is not None else 0
+    elif base is None:
+        base = 0
     trace = core(p)
     pres = edge_path_presentation(trace.final, trace.retract(base))
     simp = tietze_simplify(pres)
@@ -207,9 +207,9 @@ def cmd_osaki(args) -> int:
 
 
 def cmd_mccord(args) -> int:
-    src, src_doc = _load(args.src)
-    dst, dst_doc = _load(args.dst)
-    mapping = parse_map(_read(args.mapfile), src_doc, dst_doc)
+    src, _ = _load(args.src)
+    dst, _ = _load(args.dst)
+    mapping = parse_map(_read(args.mapfile), src, dst)
     try:
         report = mccord_check(src, dst, mapping)
     except NotContinuousError as exc:
@@ -380,41 +380,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"finito {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, file=False):
-        sp = sub.add_parser(name, help=help_text)
+    def add(subparsers, name, handler, help_text, file=False):
+        sp = subparsers.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if file:
             sp.add_argument("file", nargs="?", default="-")
         return sp
 
-    add("info", cmd_info, "size, height, invariants and beat points", file=True)
-    add("core", cmd_core, "beat-point removal trace and the core", file=True)
-    add("homology", cmd_homology, "Betti numbers and torsion of the order complex", file=True)
-    sp = add("pi1", cmd_pi1, "fundamental group presentation", file=True)
+    add(sub, "info", cmd_info, "size, height, invariants and beat points", file=True)
+    add(sub, "core", cmd_core, "beat-point removal trace and the core", file=True)
+    add(sub, "homology", cmd_homology, "Betti numbers and torsion of the order complex", file=True)
+    sp = add(sub, "pi1", cmd_pi1, "fundamental group presentation", file=True)
     sp.add_argument("--base", help="basepoint label (defaults to @base or first point)")
-    add("osaki", cmd_osaki, "applicable open/closed quotient reductions per point", file=True)
-    sp = add("mccord", cmd_mccord, "basis-like cover criterion for a given map")
+    add(sub, "osaki", cmd_osaki, "applicable open/closed quotient reductions per point", file=True)
+    sp = add(sub, "mccord", cmd_mccord, "basis-like cover criterion for a given map")
     sp.add_argument("src")
     sp.add_argument("dst")
     sp.add_argument("mapfile", help="lines of the form 'src -> dst'")
-    sp = add("sphere", cmd_sphere, "emit the 2N+2 point sphere model")
+    sp = add(sub, "sphere", cmd_sphere, "emit the 2N+2 point sphere model")
     sp.add_argument("n", type=int)
     sp.add_argument("--format", choices=FORMATS, default="poset",
                     help=f"output format; faces needs N <= {MAX_FACES_DIM}")
 
     verify = sub.add_parser("verify", help="machine-check the classification results")
     vsub = verify.add_subparsers(dest="target", required=True)
-    sp = vsub.add_parser("spheres", help="minimal spaces of small height")
-    sp.set_defaults(handler=cmd_verify_spheres)
+    sp = add(vsub, "spheres", cmd_verify_spheres, "minimal spaces of small height")
     sp.add_argument("--max-h", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp = vsub.add_parser("wedges", help="minimal models of circle wedges")
-    sp.set_defaults(handler=cmd_verify_wedges)
+    sp = add(vsub, "wedges", cmd_verify_wedges, "minimal models of circle wedges")
     sp.add_argument("--max-n", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("enumerate", cmd_enumerate, "poset classes with k points")
+    sp = add(sub, "enumerate", cmd_enumerate, "poset classes with k points")
     sp.add_argument("k", type=int)
     sp.add_argument("--filter", help="connected, minimal, or height=H")
     sp.add_argument("--emit", action="store_true", help="print each class")

@@ -4,6 +4,8 @@ Grammar, one statement per line: ``a < b`` declares a cover pair (a
 covered by b), a bare identifier declares an isolated point, ``@base x``
 names a basepoint, ``#`` starts a comment.  Identifiers match
 [A-Za-z0-9_]+ and labels are created in order of first appearance.
+``parse_poset`` gives the labelled poset and the index of its ``@base``
+point; ``emit`` writes a poset back in one of ``FORMATS``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import DuplicateCoverError, ParseError
 from .order_complex import faces_text, order_complex
@@ -22,33 +23,14 @@ _IDENT = re.compile(r"[A-Za-z0-9_]+$")
 FORMATS = ("poset", "json", "dot", "faces")
 
 
-@dataclass(frozen=True)
-class PosetDocument:
-    """Parsed poset file: labels, cover pairs (as indices) and basepoint.
+def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
+    """Parse poset text into the labelled poset and the index of its
+    ``@base`` point, None without one.
 
-    The order is closed and checked once, on construction, by
-    ``FinitePoset.from_cover_pairs``, which raises CycleError for a cyclic
-    cover relation.
-    """
-
-    labels: tuple[str, ...]
-    covers: tuple[tuple[int, int], ...]
-    base: int | None = None
-    _poset: FinitePoset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        poset = FinitePoset.from_cover_pairs(len(self.labels), self.covers, self.labels)
-        object.__setattr__(self, "_poset", poset)
-
-    def to_poset(self) -> FinitePoset:
-        return self._poset
-
-
-def parse_poset(text: str) -> PosetDocument:
-    """Parse poset text; raises ParseError (with line number) or CycleError.
-
-    Duplicate cover declarations warn (DuplicateCoverError) and are
-    dropped.  A ``@base`` point must be declared by some other statement.
+    Raises ParseError (with line number), or CycleError for a cyclic cover
+    relation.  Duplicate cover declarations warn (DuplicateCoverError) and
+    are dropped.  A ``@base`` point must be declared by some other
+    statement.
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -104,7 +86,7 @@ def parse_poset(text: str) -> PosetDocument:
         if base_name not in index:
             raise ParseError(base_line, f"basepoint {base_name!r} never declared")
         base = index[base_name]
-    return PosetDocument(tuple(labels), tuple(covers), base)
+    return FinitePoset.from_cover_pairs(len(labels), covers, labels), base
 
 
 def _emittable_label(p: FinitePoset, x: int) -> str:
@@ -161,10 +143,11 @@ def _emit_dot(p: FinitePoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_map(text: str, src: PosetDocument, dst: PosetDocument) -> list[int]:
-    """Parse ``a -> b`` lines into a total map from src points to dst points."""
-    src_index = {name: i for i, name in enumerate(src.labels)}
-    dst_index = {name: i for i, name in enumerate(dst.labels)}
+def parse_map(text: str, src: FinitePoset, dst: FinitePoset) -> list[int]:
+    """Parse ``a -> b`` lines into a total map from src points to dst
+    points, each named by its label (its index for an unlabelled poset)."""
+    src_index = {src.label(x): x for x in range(src.n)}
+    dst_index = {dst.label(y): y for y in range(dst.n)}
     mapping: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,4 +167,4 @@ def parse_map(text: str, src: PosetDocument, dst: PosetDocument) -> list[int]:
     missing = [name for name, i in src_index.items() if i not in mapping]
     if missing:
         raise ParseError(None, f"unmapped source points: {', '.join(sorted(missing))}")
-    return [mapping[i] for i in range(len(src.labels))]
+    return [mapping[i] for i in range(src.n)]

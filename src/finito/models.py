@@ -44,7 +44,7 @@ def nh_suspension(p: FinitePoset) -> FinitePoset:
 def sphere_model(n: int) -> FinitePoset:
     """2n+2 point model of the n-sphere: iterated suspension of two points."""
     if n < 0:
-        raise ValueError("dimension must be non-negative")
+        raise ValueError(f"dimension must be non-negative, got {n}")
     p = FinitePoset.antichain(2)
     for _ in range(n):
         p = nh_suspension(p)
@@ -229,7 +229,7 @@ def _pooled(job, k: int, workers: int) -> list:
     """[job(k)] for one worker.  Several walk in one forked pool, job(k, p)
     for each p of the first size with 32 classes a worker, or k - 1 points."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"k must be positive, got {k}")
     if workers == 1:
         return [job(k)]
     frontier = [next(_walk(k))]  # the one-point class

@@ -9,7 +9,6 @@ first, so Betti numbers and torsion coefficients are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .poset import FinitePoset, _bits
 from .reduction import core
@@ -35,12 +34,16 @@ class HomologySummary:
 class SimplicialComplex:
     """Finite abstract simplicial complex on vertices 0..n-1.
 
-    Faces are stored as sorted vertex tuples in a set, closed under taking
-    nonempty subsets; every vertex occurs as a 0-face.
+    ``faces`` holds each face once as a sorted vertex tuple, ordered by
+    dimension and then by vertices; the faces are closed under taking
+    nonempty subsets and every vertex occurs as a 0-face.  The order is
+    canonical, so equal face sets give equal ``faces``.
     """
 
     def __init__(self, n_vertices: int, faces):
-        faces = frozenset(tuple(sorted(f)) for f in faces)
+        faces = {tuple(sorted(f)) for f in faces}
+        if not faces:
+            raise ValueError("a complex needs at least one face")
         seen = set()
         for f in faces:
             if not f:
@@ -52,35 +55,38 @@ class SimplicialComplex:
                     raise ValueError(f"face set not closed under subsets at {f}")
         if seen != set(range(n_vertices)):
             raise ValueError("every vertex must appear as a 0-face")
-        self.n_vertices = n_vertices
-        self.faces = faces
-        self.dim = max(len(f) for f in faces) - 1
+        self._store(n_vertices, faces)
 
     @classmethod
-    def _trusted(cls, n_vertices: int, faces: frozenset) -> "SimplicialComplex":
-        """Skip the checks for sorted faces already known to be closed under
-        subsets and to cover every vertex, such as the chains of a poset."""
+    def _trusted(cls, n_vertices: int, faces) -> "SimplicialComplex":
+        """Skip the checks for distinct sorted faces already known to be
+        closed under subsets and to cover every vertex, such as the chains
+        of a poset."""
         self = object.__new__(cls)
-        self.n_vertices = n_vertices
-        self.faces = faces
-        self.dim = max(len(f) for f in faces) - 1
+        self._store(n_vertices, faces)
         return self
 
-    def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return list(self._sorted_faces[d]) if 0 <= d <= self.dim else []
-
-    @cached_property
-    def _sorted_faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Faces of each dimension 0..dim, sorted."""
-        by_dim = [[] for _ in range(self.dim + 1)]
-        for f in self.faces:
+    def _store(self, n_vertices: int, faces) -> None:
+        """Set ``faces`` from distinct sorted faces in any order, with
+        ``f_vector`` and ``dim`` beside it; each dimension is sorted on its
+        own, which needs no sort key per face."""
+        by_dim = []
+        for f in faces:
+            while len(by_dim) < len(f):
+                by_dim.append([])
             by_dim[len(f) - 1].append(f)
-        return tuple(tuple(sorted(fs)) for fs in by_dim)
+        for fs in by_dim:
+            fs.sort()
+        self.n_vertices = n_vertices
+        self.faces = tuple(f for fs in by_dim for f in fs)
+        self.f_vector = tuple(map(len, by_dim))
+        self.dim = len(by_dim) - 1
 
-    @cached_property
-    def f_vector(self) -> tuple[int, ...]:
-        """Face counts by dimension, 0..dim."""
-        return tuple(map(len, self._sorted_faces))
+    def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
+        if not 0 <= d <= self.dim:
+            return []
+        start = sum(self.f_vector[:d])
+        return list(self.faces[start : start + self.f_vector[d]])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * c for d, c in enumerate(self.f_vector))
@@ -102,8 +108,7 @@ class SimplicialComplex:
 def order_complex(p: FinitePoset) -> SimplicialComplex:
     """Complex whose simplices are the nonempty chains of p."""
     # chains ascend in the order of p, faces in index order
-    faces = frozenset(tuple(sorted(c)) for c in p.chains())
-    return SimplicialComplex._trusted(p.n, faces)
+    return SimplicialComplex._trusted(p.n, (tuple(sorted(c)) for c in p.chains()))
 
 
 def euler_characteristic(p: FinitePoset) -> int:
@@ -184,5 +189,4 @@ def betti_numbers(p: FinitePoset) -> tuple[int, ...]:
 
 def faces_text(k: SimplicialComplex) -> str:
     """Plain export: one face per line, space-separated vertex indices."""
-    lines = sorted(k.faces, key=lambda f: (len(f), f))
-    return "\n".join(" ".join(str(v) for v in f) for f in lines) + "\n"
+    return "\n".join(" ".join(str(v) for v in f) for f in k.faces) + "\n"

@@ -9,17 +9,17 @@ def test_public_names_are_pinned():
         "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError",
         "FlattenBlockedError", "GroupPresentation", "HEdge", "HPath", "HomologySummary",
         "IllFormedMoveError", "IllFormedPathError", "LastPointError", "McCordReport",
-        "NotConnectedError", "NotContinuousError", "ParseError", "PosetDocument",
+        "NotConnectedError", "NotContinuousError", "ParseError",
         "ReductionTrace", "SimplicialComplex", "WedgeModelCertificate", "beat_points",
         "betti_numbers", "bipartite_model", "check_wedge_model", "close_move", "core",
         "edge_path_presentation", "emit", "enumerate_posets",
-        "enumerate_wedge_minimal_models", "enumeration_stats", "errors",
-        "euler_characteristic", "f_vector", "faces_text", "fileio", "first_betti",
+        "enumerate_wedge_minimal_models", "enumeration_stats",
+        "euler_characteristic", "f_vector", "faces_text", "first_betti",
         "flatten_to_height2", "free_rank", "homology", "is_contractible",
         "is_homotopy_equivalent", "is_monotonic", "loop_to_word", "mccord_check",
-        "minimal_wedge_size", "models", "nh_suspension", "order_complex", "osaki",
-        "osaki_closed_reduction", "osaki_open_reduction", "parse_poset", "pi1", "poset",
-        "poset_homology", "presentation_text", "reduction", "remove_point", "snf",
+        "minimal_wedge_size", "nh_suspension", "order_complex", "osaki",
+        "osaki_closed_reduction", "osaki_open_reduction", "parse_poset",
+        "poset_homology", "presentation_text", "remove_point",
         "spanning_tree", "sphere_model", "tietze_simplify", "verify_sphere_theorem",
         "verify_wedge_theorem", "wedge_uniqueness_scan",
     ]

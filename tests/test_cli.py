@@ -126,8 +126,8 @@ def test_pi1_command(capsys, counter_file):
 
 def full_space_presentation(path, base):
     """The edge-path presentation of the whole space in the file."""
-    doc = parse_poset(Path(path).read_text())
-    return edge_path_presentation(doc.to_poset(), doc.labels.index(base))
+    p, _ = parse_poset(Path(path).read_text())
+    return edge_path_presentation(p, p.labels.index(base))
 
 
 def full_space_pi1(path, base):
@@ -144,7 +144,7 @@ def check_pi1_on_the_core(capsys, tmp_path, classes):
         path.write_text(emit(p))
         _, out, _ = run(capsys, "info", "--json", str(path))
         b1 = json.loads(out)["b1"]
-        for base in parse_poset(path.read_text()).labels:
+        for base in parse_poset(path.read_text())[0].labels:
             code, out, _ = run(capsys, "pi1", "--json", "--base", base, str(path))
             data = json.loads(out)
             assert code == 0 and data["base"] == base
@@ -486,11 +486,16 @@ def test_sphere_json_with_dot_or_faces_is_refused(capsys, monkeypatch):
 
 
 def test_sphere_scan_below_height_two_names_the_height(capsys):
-    for h in ("0", "1"):
+    # each refused value is named, as are a negative sphere and an empty enumeration
+    cases = [(("verify", "spheres", "--max-h", h), f"max height must be at least 2, got {h}")
+             for h in ("0", "1")]
+    cases += [(("sphere", "-1"), "dimension must be non-negative, got -1"),
+              (("enumerate", "0"), "k must be positive, got 0")]
+    for argv, message in cases:
         for json_flag in ((), ("--json",)):
-            code, out, err = run(capsys, "verify", "spheres", "--max-h", h, *json_flag)
+            code, out, err = run(capsys, *argv, *json_flag)
             assert code == 2 and out == ""
-            assert err == f"error: max height must be at least 2, got {h}\n"
+            assert err == f"error: {message}\n"
 
 
 def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):

@@ -13,27 +13,26 @@ from finito.fileio import parse_map
 
 
 def test_parse_singleton():
-    doc = parse_poset("x\n")
-    assert doc.labels == ("x",) and doc.covers == ()
-    assert doc.to_poset().n == 1
+    p, base = parse_poset("x\n")
+    assert p.labels == ("x",) and p.covers == () and base is None
+    assert p.n == 1
 
 
 def test_parse_paper_example():
-    doc = parse_poset("d < b\nb < a\nc < a\n")
-    assert doc.labels == ("d", "b", "a", "c")
-    p = doc.to_poset()
+    p, _ = parse_poset("d < b\nb < a\nc < a\n")
+    assert p.labels == ("d", "b", "a", "c")
     assert p.n == 4 and p.height == 3
-    assert p.min_open(doc.labels.index("b")) == {
-        doc.labels.index("b"),
-        doc.labels.index("d"),
+    assert p.min_open(p.labels.index("b")) == {
+        p.labels.index("b"),
+        p.labels.index("d"),
     }
 
 
 def test_parse_comments_isolated_and_base():
-    doc = parse_poset("# two pieces\nx < y\nz  # isolated\n@base z\n")
-    assert doc.labels == ("x", "y", "z")
-    assert doc.base == 2
-    assert len(doc.to_poset().connected_components()) == 2
+    p, base = parse_poset("# two pieces\nx < y\nz  # isolated\n@base z\n")
+    assert p.labels == ("x", "y", "z")
+    assert base == 2
+    assert len(p.connected_components()) == 2
 
 
 def test_parse_errors():
@@ -57,8 +56,8 @@ def test_parse_errors():
 
 def test_parse_duplicate_cover_warns():
     with pytest.warns(DuplicateCoverError):
-        doc = parse_poset("a < b\na < b\n")
-    assert doc.covers == ((0, 1),)
+        p, _ = parse_poset("a < b\na < b\n")
+    assert p.covers == ((0, 1),)
 
 
 def test_emit_singleton():
@@ -72,15 +71,15 @@ def test_emit_round_trip_enumerated(classes_upto):
     for p in classes_upto(6):
         names = tuple(f"p{i}" for i in range(p.n))
         labeled = FinitePoset(p.up, names)
-        doc = parse_poset(emit(labeled))
-        assert sorted(doc.labels) == sorted(names)
-        assert doc.to_poset().is_homeomorphic(p)
+        q, _ = parse_poset(emit(labeled))
+        assert sorted(q.labels) == sorted(names)
+        assert q.is_homeomorphic(p)
 
 
 def test_emit_base_round_trip():
     p = FinitePoset((1,), labels=("x",))
-    doc = parse_poset(emit(p, base=0))
-    assert doc.base == 0
+    _, base = parse_poset(emit(p, base=0))
+    assert base == 0
 
 
 def test_emit_rejects_bad_labels():
@@ -127,13 +126,13 @@ def test_emit_unknown_format(ss0):
 
 def test_emit_sphere_parses_back():
     p = sphere_model(2)
-    doc = parse_poset(emit(p))
-    assert doc.to_poset().is_homeomorphic(p)
+    q, _ = parse_poset(emit(p))
+    assert q.is_homeomorphic(p)
 
 
 def test_parse_map():
-    src = parse_poset("a < b\nc\n")
-    dst = parse_poset("x < y\n")
+    src, _ = parse_poset("a < b\nc\n")
+    dst, _ = parse_poset("x < y\n")
     mapping = parse_map("a -> x\nb -> y\nc -> x\n", src, dst)
     assert mapping == [0, 1, 0]
     with pytest.raises(ParseError, match="^unmapped source points: c$"):
@@ -142,3 +141,11 @@ def test_parse_map():
         parse_map("a -> x\na -> y\nb -> y\nc -> x\n", src, dst)
     with pytest.raises(ParseError):
         parse_map("a -> q\nb -> y\nc -> x\n", src, dst)
+    # posets built in code without labels name their points by index
+    src = FinitePoset.from_cover_pairs(3, [(0, 1)])
+    dst = FinitePoset.from_cover_pairs(2, [(0, 1)])
+    assert parse_map("0 -> 0\n1 -> 1\n2 -> 0\n", src, dst) == [0, 1, 0]
+    with pytest.raises(ParseError, match="^unmapped source points: 2$"):
+        parse_map("0 -> 0\n1 -> 1\n", src, dst)
+    with pytest.raises(ParseError, match="'a' is not a point of the source"):
+        parse_map("a -> 0\n", src, dst)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -68,10 +69,17 @@ def test_complex_equals_complex_of_opposite(classes_upto):
 def test_order_complex_passes_the_full_check(classes_upto):
     """Order complexes skip the face checks; rebuilding each through the
     checking constructor must give the same complex."""
+    rng = random.Random(6)
     for p in classes_upto(6):
         k_p = order_complex(p)
         rebuilt = SimplicialComplex(p.n, k_p.faces)
         assert rebuilt == k_p and rebuilt.dim == k_p.dim == p.height - 1
+        # the face order is canonical: any order and repeats give the same store
+        shuffled = [f[::-1] for f in k_p.faces] + list(k_p.faces[: p.n])
+        rng.shuffle(shuffled)
+        again = SimplicialComplex(p.n, shuffled)
+        assert again == k_p and hash(again) == hash(k_p) and again.faces == k_p.faces
+        assert again.f_vector == k_p.f_vector
 
 
 def test_complex_validation():
@@ -79,6 +87,8 @@ def test_complex_validation():
         SimplicialComplex(3, [(0, 1, 2)])  # not downward closed
     with pytest.raises(ValueError):
         SimplicialComplex(3, [(0,), (1,)])  # vertex 2 missing
+    with pytest.raises(ValueError, match="at least one face"):
+        SimplicialComplex(0, [])
 
 
 def test_euler_characteristic_examples(wedge5):
@@ -181,6 +191,11 @@ def test_poset_homology_of_projective_plane_face_poset():
 def test_faces_text_golden(ss0):
     assert faces_text(order_complex(ss0)) == (
         "0\n1\n2\n3\n0 2\n0 3\n1 2\n1 3\n"
+    )
+    # 2 < 1 < 0: each chain ascends against the index order, each face is sorted
+    descending = FinitePoset.chain(3).relabel([2, 1, 0])
+    assert faces_text(order_complex(descending)) == (
+        "0\n1\n2\n0 1\n0 2\n1 2\n0 1 2\n"
     )
 
 
