@@ -1,11 +1,9 @@
 # The fundamental group of a finite space can be read off its cover
-# digraph: loops are walks along cover edges, and the group is presented by
-# the comparability edges outside a spanning tree.
+# digraph: a loop is a tuple of points, each step along a cover edge, and
+# the group is presented by the comparability edges outside a spanning tree.
 
 from finito import (
     FinitePoset,
-    HEdge,
-    HPath,
     close_move,
     core,
     edge_path_presentation,
@@ -21,14 +19,14 @@ circle = sphere_model(1)  # minimal points 0,1 under maximal points 2,3
 tree = spanning_tree(circle, 0)
 print("spanning tree:", sorted(tree))
 
-loop = HPath(0, (HEdge(0, 2), HEdge(2, 1), HEdge(1, 3), HEdge(3, 0)))
+loop = (0, 2, 1, 3, 0)
 print("loop word:", loop_to_word(circle, 0, loop, tree))
 print("backtracking loop word:",
-      loop_to_word(circle, 0, HPath(0, (HEdge(0, 2), HEdge(2, 0))), tree))
+      loop_to_word(circle, 0, (0, 2, 0), tree))
 
 # Inserting a monotonic out-and-back detour gives a close loop: the word
 # image is unchanged.
-detour = (HPath(1, (HEdge(1, 2),)), HPath(2, (HEdge(2, 1),)))
+detour = ((1, 2), (2, 1))
 grown = close_move(circle, loop, 2, insert=detour)
 print("after a close move:", loop_to_word(circle, 0, grown, tree))
 print()

@@ -53,8 +53,6 @@ from .order_complex import (
 )
 from .pi1 import (
     GroupPresentation,
-    HEdge,
-    HPath,
     close_move,
     edge_path_presentation,
     first_betti,
@@ -85,7 +83,7 @@ from .reduction import (
 __all__ = [  # the names imported above; no submodule
     "BeatPointReport", "CapExceededError", "CycleError", "DuplicateCoverError",
     "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError", "FlattenBlockedError",
-    "GroupPresentation", "HEdge", "HPath", "HomologySummary", "IllFormedMoveError",
+    "GroupPresentation", "HomologySummary", "IllFormedMoveError",
     "IllFormedPathError", "LastPointError", "McCordReport", "NotConnectedError",
     "NotContinuousError", "ParseError", "ReductionTrace", "SimplicialComplex",
     "WedgeModelCertificate", "beat_points", "betti_numbers", "bipartite_model",

@@ -6,9 +6,10 @@ errors, 141 (128 + SIGPIPE) with nothing printed when the reader of
 standard output closes it early, as ``head`` does.  Every subcommand
 takes --json for a machine-readable mirror of the text output.  NO_COLOR
 disables ANSI styling.  ``enumerate`` and ``verify spheres`` refuse more
-than 10 points before any work, and ``sphere N --format faces`` refuses
-N > 10 (its face list has 3^(N+1) - 1 entries).  ``sphere`` refuses
---json with --format dot or faces.  ``python -m finito`` runs as
+than 10 points before any work, ``sphere N --format faces`` refuses
+N > 10 (its face list has 3^(N+1) - 1 entries), and ``info`` and
+``homology`` refuse a core with more than 250,000 chains.  ``sphere``
+refuses --json with --format dot or faces.  ``python -m finito`` runs as
 ``finito``.
 """
 

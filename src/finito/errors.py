@@ -49,11 +49,12 @@ class IllFormedMoveError(FinitoError):
 
 
 class IllFormedPathError(FinitoError):
-    """An edge sequence is not a valid path in the cover digraph."""
+    """A point sequence is not a path along cover edges."""
 
 
 class CapExceededError(FinitoError):
-    """Requested enumeration size exceeds the fixed limit of 10 points."""
+    """A request exceeds a fixed size limit: more than 10 points to
+    enumerate, or more chains than ``poset_homology`` lists."""
 
 
 class FlattenBlockedError(FinitoError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CapExceededError
 from .poset import FinitePoset, _bits
 from .reduction import core
 from .snf import smith_invariant_factors
@@ -111,25 +112,27 @@ def order_complex(p: FinitePoset) -> SimplicialComplex:
     return SimplicialComplex._trusted(p.n, (tuple(sorted(c)) for c in p.chains()))
 
 
-def euler_characteristic(p: FinitePoset) -> int:
-    """Alternating chain sum: each nonempty chain C contributes (-1)^(#C+1).
+def _chain_counts(p: FinitePoset) -> list[int]:
+    """Chains of p by length: entry d counts the chains of d + 1 points,
+    the d-faces of the order complex.
 
-    Chains are counted by length, not listed: visiting the points in a
-    linear extension, the chains with top y are y alone and each chain
-    with top x < y extended by y.
+    Chains are counted, not listed: visiting the points in a linear
+    extension, the chains with top y are y alone and each chain with top
+    x < y extended by y.
     """
     ending = {}  # ending[y][l]: chains of l+1 points with top y
     for y in sorted(range(p.n), key=lambda x: p.down[x].bit_count()):
-        counts = [1]
+        counts = ending[y] = [1] + [0] * (p.levels[y] - 1)
         for x in _bits(p.down[y] & ~(1 << y)):
             for length, c in enumerate(ending[x], 1):
-                if length == len(counts):
-                    counts.append(0)
                 counts[length] += c
-        ending[y] = counts
-    return sum(
-        (-1) ** length * c for counts in ending.values() for length, c in enumerate(counts)
-    )
+    return [sum(c[d] for c in ending.values() if len(c) > d) for d in range(p.height)]
+
+
+def euler_characteristic(p: FinitePoset) -> int:
+    """Alternating chain sum: each nonempty chain C contributes (-1)^(#C+1),
+    from the chain counts by length."""
+    return sum((-1) ** d * c for d, c in enumerate(_chain_counts(p)))
 
 
 def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
@@ -170,14 +173,24 @@ def homology(k: SimplicialComplex) -> HomologySummary:
     return HomologySummary(betti, torsion)
 
 
+MAX_CHAINS = 250_000  # the most chains poset_homology lists
+
+
 def poset_homology(p: FinitePoset) -> HomologySummary:
     """Homology of the order complex of p, in degrees 0..height-1.
 
     It is computed on the complex of the core, which is homotopy
     equivalent and often far smaller (an n-point chain has 2^n - 1 chains,
     its core one point); the degrees above the core's dimension are zero.
+    A core with more than MAX_CHAINS chains, counted before any is listed,
+    raises CapExceededError.  Just below the limit, `finito info` on 5
+    layers of 11 points, each point above the whole layer below (248,831
+    chains), took 6.7 s and 379 MB max RSS (Python 3.11, 2 shared vCPUs).
     """
-    h = homology(order_complex(core(p).final))
+    q = core(p).final
+    if (chains := sum(_chain_counts(q))) > MAX_CHAINS:
+        raise CapExceededError(f"the core has {chains:,} chains, beyond the limit of {MAX_CHAINS:,}")
+    h = homology(order_complex(q))
     pad = p.height - len(h.betti)
     return HomologySummary(h.betti + (0,) * pad, h.torsion + ((),) * pad)
 

@@ -1,6 +1,7 @@
 """Fundamental groups of finite T0 spaces from their cover digraphs.
 
-Loops are walks along cover edges (in either direction).  The group is
+A path is a tuple of points (x0, x1, ..., xm), each consecutive pair a
+cover edge in either direction; a loop has x0 == xm.  The group is
 presented through the edge-path group of the order complex: generators are
 the comparability edges outside a spanning tree, relators come from
 three-point chains.  Arbitrary loop equivalence is not decided (that is
@@ -19,105 +20,56 @@ from .poset import FinitePoset, _bits, _check_point
 from .snf import matrix_rank
 
 
-@dataclass(frozen=True)
-class HEdge:
-    """One step along a cover edge, in either direction."""
-
-    origin: int
-    end: int
-
-    def inverse(self) -> "HEdge":
-        return HEdge(self.end, self.origin)
-
-
-@dataclass(frozen=True)
-class HPath:
-    """Composable sequence of cover steps; empty paths sit at the basepoint."""
-
-    basepoint: int
-    edges: tuple[HEdge, ...] = ()
-
-    @property
-    def origin(self) -> int:
-        return self.basepoint
-
-    @property
-    def end(self) -> int:
-        return self.edges[-1].end if self.edges else self.basepoint
-
-    def points(self) -> list[int]:
-        pts = [self.basepoint]
-        for e in self.edges:
-            pts.append(e.end)
-        return pts
-
-    def is_loop(self) -> bool:
-        return self.origin == self.end
-
-    def reversed(self) -> "HPath":
-        return HPath(self.end, tuple(e.inverse() for e in reversed(self.edges)))
-
-    def __mul__(self, other: "HPath") -> "HPath":
-        if self.end != other.origin:
-            raise IllFormedPathError("paths do not compose")
-        return HPath(self.basepoint, self.edges + other.edges)
-
-
-def validate_path(p: FinitePoset, path: HPath) -> None:
-    """Raise IllFormedPathError unless every step is a cover edge and
-    consecutive steps compose."""
+def validate_path(p: FinitePoset, path: tuple[int, ...]) -> None:
+    """Raise IllFormedPathError unless path is a nonempty tuple of points
+    in which each consecutive pair is a cover edge, in either direction; a
+    point out of range raises IndexError."""
+    if not isinstance(path, tuple) or not path:
+        raise IllFormedPathError("a path is a nonempty tuple of points")
+    for x in path:
+        _check_point(p, x)
     covers = set(p.covers)
-    at = path.basepoint
-    for e in path.edges:
-        if e.origin != at:
-            raise IllFormedPathError(f"edge {e} does not start at {at}")
-        if (e.origin, e.end) not in covers and (e.end, e.origin) not in covers:
-            raise IllFormedPathError(f"{e} is not a cover edge")
-        at = e.end
+    for a, b in zip(path, path[1:]):
+        if (a, b) not in covers and (b, a) not in covers:
+            raise IllFormedPathError(f"({a}, {b}) is not a cover edge")
 
 
-def is_monotonic(p: FinitePoset, path: HPath) -> bool:
+def is_monotonic(p: FinitePoset, path: tuple[int, ...]) -> bool:
     """True iff all steps ascend, or all descend, in the cover digraph."""
     validate_path(p, path)
-    ups = [p.leq(e.origin, e.end) for e in path.edges]
+    ups = [p.leq(a, b) for a, b in zip(path, path[1:])]
     return all(ups) or not any(ups)
 
 
-def close_move(p: FinitePoset, loop: HPath, cut, insert=None) -> HPath:
+def close_move(p: FinitePoset, loop: tuple[int, ...], cut, insert=None) -> tuple[int, ...]:
     """One closeness move between loops.
 
-    With ``insert=(xi2, xi3)``: splice the monotonic pair at edge position
-    ``cut``; the pair must form a closed detour at that point.  Without
-    ``insert``: ``cut=(i, j, k)`` deletes ``edges[i:k]``, where
-    ``edges[i:j]`` and ``edges[j:k]`` are monotonic and the deleted
-    segment returns to its start.
+    With ``insert=(xi2, xi3)``: splice the monotonic pair in at point
+    position ``cut``; xi2 must run from ``loop[cut]`` to the start of xi3,
+    and xi3 back to ``loop[cut]``.  Without ``insert``: ``cut=(i, j, k)``
+    cuts ``loop[i:k+1]`` down to its one point ``loop[i] == loop[k]``,
+    where ``loop[i:j+1]`` and ``loop[j:k+1]`` are monotonic.
     """
     validate_path(p, loop)
-    if not loop.is_loop():
+    if loop[0] != loop[-1]:
         raise IllFormedMoveError("close moves are defined on loops")
-    pts = loop.points()
     if insert is not None:
-        if not isinstance(cut, int) or not 0 <= cut <= len(loop.edges):
-            raise IllFormedMoveError("cut must be an edge position")
+        if not isinstance(cut, int) or not 0 <= cut < len(loop):
+            raise IllFormedMoveError("cut must be a point position")
         xi2, xi3 = insert
-        for xi in (xi2, xi3):
-            if not is_monotonic(p, xi):
-                raise IllFormedMoveError("inserted paths must be monotonic")
-        at = pts[cut]
-        if xi2.origin != at or xi2.end != xi3.origin or xi3.end != at:
+        if not (is_monotonic(p, xi2) and is_monotonic(p, xi3)):
+            raise IllFormedMoveError("inserted paths must be monotonic")
+        if xi2[0] != loop[cut] or xi2[-1] != xi3[0] or xi3[-1] != loop[cut]:
             raise IllFormedMoveError("inserted pair must close up at the cut point")
-        edges = loop.edges[:cut] + xi2.edges + xi3.edges + loop.edges[cut:]
-        return HPath(loop.basepoint, edges)
+        return loop[:cut] + xi2 + xi3[1:] + loop[cut + 1 :]
     i, j, k = cut
-    if not 0 <= i <= j <= k <= len(loop.edges):
+    if not 0 <= i <= j <= k < len(loop):
         raise IllFormedMoveError("cut positions out of order")
-    if pts[i] != pts[k]:
+    if loop[i] != loop[k]:
         raise IllFormedMoveError("deleted segment must return to its start")
-    xi2 = HPath(pts[i], loop.edges[i:j])
-    xi3 = HPath(pts[j], loop.edges[j:k])
-    if not is_monotonic(p, xi2) or not is_monotonic(p, xi3):
+    if not is_monotonic(p, loop[i : j + 1]) or not is_monotonic(p, loop[j : k + 1]):
         raise IllFormedMoveError("deleted segment must split into monotonic halves")
-    return HPath(loop.basepoint, loop.edges[:i] + loop.edges[k:])
+    return loop[:i] + loop[k:]
 
 
 # -- edge-path presentations --------------------------------------------------
@@ -131,6 +83,8 @@ class GroupPresentation:
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.generators < 0:
+            raise ValueError(f"generator count must be non-negative, got {self.generators}")
         reduced = tuple(
             r for r in (free_reduce(rel) for rel in self.relators) if r
         )
@@ -231,19 +185,17 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     return GroupPresentation(len(gen_index), tuple(relators))
 
 
-def loop_to_word(p: FinitePoset, x0: int, loop: HPath, tree=None) -> tuple[int, ...]:
+def loop_to_word(p: FinitePoset, x0: int, loop: tuple[int, ...], tree=None) -> tuple[int, ...]:
     """Image of a loop in the presentation: tree edges vanish, any other
     edge maps to its generator, signed by traversal direction."""
     if tree is None:
         tree = spanning_tree(p, x0)
     validate_path(p, loop)
-    if loop.basepoint != x0 or not loop.is_loop():
+    if loop[0] != x0 or loop[-1] != x0:
         raise IllFormedPathError(f"not a loop at {x0}")
     gen_index = _generator_index(p, tree)
-    word = []
-    for e in loop.edges:
-        word.extend(_edge_letter(p, tree, gen_index, e.origin, e.end))
-    return free_reduce(word)
+    steps = zip(loop, loop[1:])
+    return free_reduce(l for a, b in steps for l in _edge_letter(p, tree, gen_index, a, b))
 
 
 def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:

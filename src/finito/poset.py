@@ -1,9 +1,10 @@
 """Finite T0 spaces as posets over dense indices 0..n-1.
 
 The order relation is stored as bit-rows: ``up[x]`` is the bitmask of all
-``y`` with ``x <= y`` (including ``x`` itself).  Every value is immutable
-after construction and every operation is a pure function, so instances can
-be shared freely between threads.
+``y`` with ``x <= y`` (including ``x`` itself).  The order never changes
+after construction; ``down``, ``levels``, ``covers``, ``_canon`` and
+``_aut`` are filled in once, lazily, and ``models._children`` sets a
+child's ``down`` and ``levels`` itself.
 
 A cover relation from outside is checked in one place,
 ``FinitePoset.from_cover_pairs``; ``FinitePoset.covers`` gives the cover

@@ -7,7 +7,7 @@ def test_public_names_are_pinned():
     assert sorted(finito.__all__) == [
         "BeatPointReport", "CapExceededError", "CycleError", "DuplicateCoverError",
         "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError",
-        "FlattenBlockedError", "GroupPresentation", "HEdge", "HPath", "HomologySummary",
+        "FlattenBlockedError", "GroupPresentation", "HomologySummary",
         "IllFormedMoveError", "IllFormedPathError", "LastPointError", "McCordReport",
         "NotConnectedError", "NotContinuousError", "ParseError",
         "ReductionTrace", "SimplicialComplex", "WedgeModelCertificate", "beat_points",

@@ -625,6 +625,25 @@ def test_homology_of_long_chain(capsys, tmp_path):
     assert json.loads(out) == {"betti": [1] + [0] * (n - 1), "torsion": [[]] * n}
 
 
+def test_homology_beyond_the_chain_limit_is_one_line(cli_env, tmp_path):
+    # 7 layers of 7 points, each above the whole layer below: its own core,
+    # with 8^7 - 1 chains, counted and refused before any is listed
+    path = tmp_path / "layers.poset"
+    path.write_text("".join(
+        f"p{l}_{i} < p{l + 1}_{j}\n" for l in range(6) for i in range(7) for j in range(7)
+    ))
+    for command in ("info", "homology"):
+        for json_flag in ((), ("--json",)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "finito", command, str(path), *json_flag],
+                capture_output=True, text=True, env=cli_env,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                "error: the core has 2,097,151 chains, beyond the limit of 250,000\n"
+            )
+
+
 def test_installed_pipeline(cli_env):
     """Runs the console-script entry point ``finito.cli:main`` through ``-m``."""
     finito = [sys.executable, "-m", "finito"]

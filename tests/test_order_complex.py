@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import math
 import random
 
 import pytest
 
 from finito import (
+    CapExceededError,
     FinitePoset,
     SimplicialComplex,
     betti_numbers,
@@ -16,7 +19,7 @@ from finito import (
     poset_homology,
     sphere_model,
 )
-from finito.order_complex import boundary_matrix
+from finito.order_complex import _chain_counts, boundary_matrix
 from finito.snf import matrix_rank, smith_invariant_factors
 from dense_snf import smith_invariant_factors as dense_invariant_factors
 from dense_snf import xgcd
@@ -107,8 +110,11 @@ def test_euler_matches_mobius_oracle(classes_upto):
 def test_euler_chain_sum_matches_f_vector(classes_upto):
     for p in classes_upto(6):
         kx = order_complex(p)
+        assert _chain_counts(p) == list(kx.f_vector)
         alt = sum((-1) ** d * c for d, c in enumerate(kx.f_vector))
         assert euler_characteristic(p) == alt == kx.euler_characteristic()
+    # 2^160 - 1 chains, counted by length as binomial coefficients
+    assert _chain_counts(FinitePoset.chain(160)) == [math.comb(160, d + 1) for d in range(160)]
 
 
 def test_f_vector_examples(ss0):
@@ -177,6 +183,19 @@ def test_homology_projective_plane_torsion():
 def test_poset_homology_equals_full_homology(classes_upto):
     for p in classes_upto(7):
         assert poset_homology(p) == homology(order_complex(p))
+
+
+def test_poset_homology_refuses_a_core_beyond_the_chain_limit(monkeypatch):
+    # the S^2 model is its own core, with 3^3 - 1 = 26 chains
+    s2 = sphere_model(2)
+    module = importlib.import_module("finito.order_complex")  # the name is the function
+    monkeypatch.setattr(module, "MAX_CHAINS", 26)
+    assert poset_homology(s2).betti == (1, 0, 1)
+    monkeypatch.setattr(module, "MAX_CHAINS", 25)
+    with pytest.raises(CapExceededError, match="the core has 26 chains, beyond the limit of 25"):
+        poset_homology(s2)
+    # the limit binds the core: a 40-point chain has 2^40 - 1 chains, its core one
+    assert poset_homology(FinitePoset.chain(40)).betti == (1,) + (0,) * 39
 
 
 def test_poset_homology_of_projective_plane_face_poset():

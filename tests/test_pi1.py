@@ -5,8 +5,6 @@ import pytest
 from finito import (
     FinitePoset,
     GroupPresentation,
-    HEdge,
-    HPath,
     IllFormedMoveError,
     IllFormedPathError,
     NotConnectedError,
@@ -36,89 +34,69 @@ from tietze_oracle import tietze_simplify as rescanning_tietze
 
 
 def cover_steps(p, x):
-    """H-edges leaving x, in either direction."""
+    """Points one cover step from x, in either direction."""
     out = []
     for (a, b) in p.covers:
         if a == x:
-            out.append(HEdge(a, b))
+            out.append(b)
         if b == x:
-            out.append(HEdge(b, a))
+            out.append(a)
     return out
 
 
 def random_loop(p, x0, rng, steps=8):
     """Random cover walk from x0, closed off by walking back."""
-    edges = []
-    at = x0
+    walk = [x0]
     for _ in range(rng.randrange(steps)):
-        options = cover_steps(p, at)
+        options = cover_steps(p, walk[-1])
         if not options:
             break
-        e = rng.choice(options)
-        edges.append(e)
-        at = e.end
-        if at == x0 and rng.random() < 0.4:
-            return HPath(x0, tuple(edges))
-    back = HPath(at, tuple(e.inverse() for e in reversed(edges)))
-    return HPath(x0, tuple(edges) + back.edges)
+        walk.append(rng.choice(options))
+        if walk[-1] == x0 and rng.random() < 0.4:
+            return tuple(walk)
+    return tuple(walk + walk[-2::-1])
 
 
 def monotonic_detour(p, a, rng, depth=2):
     """A pair of monotonic paths out of a and back; None if a is isolated."""
     goes_up = rng.random() < 0.5
-    forward = []
-    at = a
+    forward = [a]
     for _ in range(rng.randrange(1, depth + 1)):
+        at = forward[-1]
         if goes_up:
-            options = [
-                HEdge(at, y) for (x, y) in p.covers if x == at
-            ]
+            options = [y for (x, y) in p.covers if x == at]
         else:
-            options = [
-                HEdge(at, x) for (x, y) in p.covers if y == at
-            ]
+            options = [x for (x, y) in p.covers if y == at]
         if not options:
             break
-        e = rng.choice(options)
-        forward.append(e)
-        at = e.end
-    if not forward:
+        forward.append(rng.choice(options))
+    if len(forward) == 1:
         return None
     # walk back monotonically inside the interval between a and at
+    at = forward[-1]
     lo, hi = (a, at) if goes_up else (at, a)
-    backward = []
-    cur = at
-    while cur != a:
+    backward = [at]
+    while backward[-1] != a:
+        cur = backward[-1]
         if goes_up:
-            options = [
-                HEdge(cur, x)
-                for (x, y) in p.covers
-                if y == cur and p.leq(lo, x)
-            ]
+            options = [x for (x, y) in p.covers if y == cur and p.leq(lo, x)]
         else:
-            options = [
-                HEdge(cur, y)
-                for (x, y) in p.covers
-                if x == cur and p.leq(y, hi)
-            ]
-        e = rng.choice(options)
-        backward.append(e)
-        cur = e.end
-    return HPath(a, tuple(forward)), HPath(at, tuple(backward))
+            options = [y for (x, y) in p.covers if x == cur and p.leq(y, hi)]
+        backward.append(rng.choice(options))
+    return tuple(forward), tuple(backward)
 
 
 def find_delete_move(p, loop, rng):
     """A random valid deletion (i, j, k) in the loop, if any exists."""
-    pts = loop.points()
-    length = len(loop.edges)
+    length = len(loop) - 1
     options = []
     for i in range(length):
         for k in range(i + 1, length + 1):
-            if pts[i] != pts[k]:
+            if loop[i] != loop[k]:
                 continue
             for j in range(i, k + 1):
-                left = HPath(pts[i], loop.edges[i:j])
-                right = HPath(pts[j], loop.edges[j:k])
+                left = loop[i : j + 1]
+                right = loop[j : k + 1]
                 if is_monotonic(p, left) and is_monotonic(p, right):
                     options.append((i, j, k))
                     break
@@ -126,41 +104,55 @@ def find_delete_move(p, loop, rng):
 
 
 def test_is_monotonic(ss0):
-    assert is_monotonic(ss0, HPath(0))
-    assert is_monotonic(ss0, HPath(0, (HEdge(0, 2),)))
-    assert is_monotonic(ss0, HPath(2, (HEdge(2, 0),)))
-    assert not is_monotonic(ss0, HPath(0, (HEdge(0, 2), HEdge(2, 1))))
+    assert is_monotonic(ss0, (0,))
+    assert is_monotonic(ss0, (0, 2))
+    assert is_monotonic(ss0, (2, 0))
+    assert not is_monotonic(ss0, (0, 2, 1))
     with pytest.raises(IllFormedPathError):
-        is_monotonic(ss0, HPath(0, (HEdge(2, 3),)))  # not a cover edge
+        is_monotonic(ss0, (2, 3))  # not a cover edge
 
 
 def test_close_move_insert_and_delete(ss0):
-    loop = HPath(0, (HEdge(0, 2), HEdge(2, 1), HEdge(1, 3), HEdge(3, 0)))
-    grown = close_move(
-        ss0, loop, 1, insert=(HPath(2, (HEdge(2, 1),)), HPath(1, (HEdge(1, 2),)))
-    )
-    assert grown.is_loop() and len(grown.edges) == 6
+    loop = (0, 2, 1, 3, 0)
+    grown = close_move(ss0, loop, 1, insert=((2, 1), (1, 2)))
+    assert grown[0] == grown[-1] and len(grown) == 7
     shrunk = close_move(ss0, grown, (1, 2, 3))
     assert shrunk == loop
     # deleting a whole out-and-back loop leaves the empty loop
-    out_back = HPath(0, (HEdge(0, 2), HEdge(2, 0)))
+    out_back = (0, 2, 0)
     empty = close_move(ss0, out_back, (0, 1, 2))
-    assert empty == HPath(0)
+    assert empty == (0,)
 
 
 def test_close_move_rejects_bad_moves(ss0):
-    loop = HPath(0, (HEdge(0, 2), HEdge(2, 0)))
+    loop = (0, 2, 0)
     with pytest.raises(IllFormedMoveError):
-        close_move(ss0, HPath(0, (HEdge(0, 2),)), (0, 1, 1))  # not a loop
+        close_move(ss0, (0, 2), (0, 1, 1))  # not a loop
     with pytest.raises(IllFormedMoveError):
         # inserted pair does not close up at the cut point
-        close_move(
-            ss0, loop, 0, insert=(HPath(0, (HEdge(0, 2),)), HPath(2, (HEdge(2, 1),)))
-        )
+        close_move(ss0, loop, 0, insert=((0, 2), (2, 1)))
     with pytest.raises(IllFormedMoveError):
         # non-monotonic deletion: segment zigzags
-        zig = HPath(0, (HEdge(0, 2), HEdge(2, 1), HEdge(1, 2), HEdge(2, 0)))
+        zig = (0, 2, 1, 2, 0)
         close_move(ss0, zig, (0, 1, 4))
+
+
+def test_paths_are_checked_point_by_point():
+    circle = sphere_model(1)
+    with pytest.raises(IndexError, match="point 7 out of range for n=4"):
+        close_move(circle, (7,), (0, 0, 0))
+    with pytest.raises(IndexError, match="point 99 out of range for n=4"):
+        is_monotonic(circle, (99,))
+    with pytest.raises(IndexError, match="point -1 out of range for n=4"):
+        loop_to_word(circle, 0, (0, 2, -1, 2, 0))
+    for check in (
+        lambda path: is_monotonic(circle, path),
+        lambda path: close_move(circle, path, (0, 0, 0)),
+        lambda path: loop_to_word(circle, 0, path),
+    ):
+        for path in ((), [0]):
+            with pytest.raises(IllFormedPathError, match="nonempty tuple of points"):
+                check(path)
 
 
 def test_presentation_sphere_circle(ss0):
@@ -275,6 +267,13 @@ def test_group_presentation_normalizes():
         GroupPresentation(1, ((2,),))
 
 
+def test_group_presentation_rejects_a_negative_generator_count():
+    with pytest.raises(ValueError, match="generator count must be non-negative, got -2"):
+        GroupPresentation(-2, ())
+    empty = GroupPresentation(0, ())
+    assert free_rank(empty) == 0 and presentation_text(empty) == "<  | >"
+
+
 def test_first_betti_values(wedge5):
     assert first_betti(FinitePoset.chain(4)) == 0
     assert first_betti(wedge5) == 2
@@ -294,12 +293,12 @@ def test_first_betti_matches_homology(classes_upto):
 
 def test_loop_to_word_four_cycle(ss0):
     tree = spanning_tree(ss0, 0)
-    loop = HPath(0, (HEdge(0, 2), HEdge(2, 1), HEdge(1, 3), HEdge(3, 0)))
+    loop = (0, 2, 1, 3, 0)
     word = loop_to_word(ss0, 0, loop, tree)
     assert len(word) == 1 and abs(word[0]) == 1
-    assert loop_to_word(ss0, 0, HPath(0), tree) == ()
-    assert loop_to_word(ss0, 0, HPath(0, (HEdge(0, 2), HEdge(2, 0))), tree) == ()
-    reversed_word = loop_to_word(ss0, 0, loop.reversed(), tree)
+    assert loop_to_word(ss0, 0, (0,), tree) == ()
+    assert loop_to_word(ss0, 0, (0, 2, 0), tree) == ()
+    reversed_word = loop_to_word(ss0, 0, loop[::-1], tree)
     assert reversed_word == tuple(-l for l in reversed(word))
 
 
@@ -310,16 +309,16 @@ def test_loop_to_word_product_law(ss0, osaki_x):
         for _ in range(40):
             a = random_loop(p, 0, rng)
             b = random_loop(p, 0, rng)
-            assert loop_to_word(p, 0, a * b, tree) == free_reduce(
+            assert loop_to_word(p, 0, a + b[1:], tree) == free_reduce(
                 loop_to_word(p, 0, a, tree) + loop_to_word(p, 0, b, tree)
             )
 
 
 def test_loop_to_word_validates(ss0):
     with pytest.raises(IllFormedPathError):
-        loop_to_word(ss0, 0, HPath(0, (HEdge(0, 2),)))
+        loop_to_word(ss0, 0, (0, 2))
     with pytest.raises(IllFormedPathError):
-        loop_to_word(ss0, 1, HPath(0))
+        loop_to_word(ss0, 1, (0,))
 
 
 def test_close_moves_fix_words_exhaustively(classes_upto):
@@ -339,13 +338,10 @@ def test_close_moves_fix_words_exhaustively(classes_upto):
         for _ in range(6):
             loop = random_loop(p, x0, rng)
             word = loop_to_word(p, x0, loop, tree)
-            pts = loop.points()
-            detour = monotonic_detour(p, rng.choice(pts), rng)
+            detour = monotonic_detour(p, rng.choice(loop), rng)
             if detour is None:
                 continue
-            cut = rng.choice(
-                [i for i, q in enumerate(pts) if q == detour[0].basepoint]
-            )
+            cut = rng.choice([i for i, q in enumerate(loop) if q == detour[0][0]])
             moved = close_move(p, loop, cut, insert=detour)
             variants = [loop_to_word(p, x0, moved, tree)]
             deletion = find_delete_move(p, moved, rng)
@@ -387,7 +383,7 @@ def test_basepoints_out_of_range_raise():
         for build in (
             spanning_tree,
             edge_path_presentation,
-            lambda p, x0: loop_to_word(p, x0, HPath(0)),
+            lambda p, x0: loop_to_word(p, x0, (0,)),
         ):
             with pytest.raises(IndexError, match=f"point {x0} out of range for n=4"):
                 build(circle, x0)
