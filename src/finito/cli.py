@@ -7,8 +7,8 @@ standard output closes it early, as ``head`` does.  Every subcommand
 takes --json for a machine-readable mirror of the text output.  NO_COLOR
 disables ANSI styling.  ``enumerate`` and ``verify spheres`` refuse more
 than 10 points before any work, ``sphere N --format faces`` refuses
-N > 10 (its face list has 3^(N+1) - 1 entries), and ``info`` and
-``homology`` refuse a core with more than 250,000 chains.  ``sphere``
+N > 10 before the model is built, ``info`` and ``homology`` refuse a core
+of more than 250,000 chains (``order_complex.MAX_CHAINS``), and ``sphere``
 refuses --json with --format dot or faces.  ``python -m finito`` runs as
 ``finito``.
 """
@@ -31,7 +31,7 @@ from .models import (
     verify_sphere_theorem,
     verify_wedge_theorem,
 )
-from .order_complex import euler_characteristic, poset_homology
+from .order_complex import poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
 from .poset import FinitePoset
 from .reduction import (
@@ -86,12 +86,13 @@ def _beat_point(p, r) -> dict:
 def cmd_info(args) -> int:
     p, _ = _load(args.file)
     bps = beat_points(p)
+    # p has the weak homotopy type of its core: b0 and euler are read off its homology
     betti = poset_homology(p).betti
     data = {
         "points": p.n,
         "height": p.height,
-        "components": len(p.connected_components()),
-        "euler": euler_characteristic(p),
+        "components": betti[0],
+        "euler": sum((-1) ** d * b for d, b in enumerate(betti)),
         "b0": betti[0],
         "b1": betti[1] if len(betti) > 1 else 0,
         "beat_points": [_beat_point(p, r) for r in bps],

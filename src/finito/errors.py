@@ -54,7 +54,7 @@ class IllFormedPathError(FinitoError):
 
 class CapExceededError(FinitoError):
     """A request exceeds a fixed size limit: more than 10 points to
-    enumerate, or more chains than ``poset_homology`` lists."""
+    enumerate, or more chains than ``order_complex`` lists."""
 
 
 class FlattenBlockedError(FinitoError):

@@ -119,10 +119,8 @@ def invert_word(word) -> tuple[int, ...]:
 def spanning_tree(p: FinitePoset, x0: int) -> frozenset[tuple[int, int]]:
     """BFS tree of the comparability graph rooted at x0, smallest index
     first; edges are index-sorted pairs.  A root out of range raises
-    IndexError."""
+    IndexError, and a point the walk misses NotConnectedError."""
     _check_point(p, x0)
-    if not p.is_connected():
-        raise NotConnectedError("the space is not connected")
     seen = 1 << x0
     tree = set()
     queue = deque([x0])
@@ -132,6 +130,8 @@ def spanning_tree(p: FinitePoset, x0: int) -> frozenset[tuple[int, int]]:
             seen |= 1 << w
             tree.add((min(v, w), max(v, w)))
             queue.append(w)
+    if seen != (1 << p.n) - 1:
+        raise NotConnectedError("the space is not connected")
     return frozenset(tree)
 
 
@@ -185,11 +185,10 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     return GroupPresentation(len(gen_index), tuple(relators))
 
 
-def loop_to_word(p: FinitePoset, x0: int, loop: tuple[int, ...], tree=None) -> tuple[int, ...]:
-    """Image of a loop in the presentation: tree edges vanish, any other
-    edge maps to its generator, signed by traversal direction."""
-    if tree is None:
-        tree = spanning_tree(p, x0)
+def loop_to_word(p: FinitePoset, x0: int, loop: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of a loop in ``edge_path_presentation(p, x0)``: tree edges
+    vanish, any other edge maps to its generator, signed by direction."""
+    tree = spanning_tree(p, x0)
     validate_path(p, loop)
     if loop[0] != x0 or loop[-1] != x0:
         raise IllFormedPathError(f"not a loop at {x0}")

@@ -640,7 +640,7 @@ def test_homology_beyond_the_chain_limit_is_one_line(cli_env, tmp_path):
             )
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr == (
-                "error: the core has 2,097,151 chains, beyond the limit of 250,000\n"
+                "error: the order complex has 2,097,151 chains, beyond the limit of 250,000\n"
             )
 
 
@@ -710,10 +710,12 @@ def test_duplicate_cover_is_one_warning_line(cli_env):
 
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+DEMO_OUTPUT = Path(__file__).parent / "demo_output"
 
 
 def test_demos_are_found():
     assert DEMOS
+    assert sorted(f.stem for f in DEMO_OUTPUT.glob("*.txt")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
@@ -727,3 +729,5 @@ def test_demo_runs_cleanly(script, cli_env, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0 and proc.stderr == ""
+    # every demo is deterministic: its stdout is pinned byte for byte
+    assert proc.stdout == (DEMO_OUTPUT / f"{script.stem}.txt").read_text(encoding="utf-8")

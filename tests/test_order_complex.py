@@ -10,7 +10,9 @@ from finito import (
     FinitePoset,
     SimplicialComplex,
     betti_numbers,
+    check_wedge_model,
     core,
+    emit,
     euler_characteristic,
     f_vector,
     faces_text,
@@ -192,10 +194,40 @@ def test_poset_homology_refuses_a_core_beyond_the_chain_limit(monkeypatch):
     monkeypatch.setattr(module, "MAX_CHAINS", 26)
     assert poset_homology(s2).betti == (1, 0, 1)
     monkeypatch.setattr(module, "MAX_CHAINS", 25)
-    with pytest.raises(CapExceededError, match="the core has 26 chains, beyond the limit of 25"):
+    with pytest.raises(
+        CapExceededError, match="the order complex has 26 chains, beyond the limit of 25"
+    ):
         poset_homology(s2)
     # the limit binds the core: a 40-point chain has 2^40 - 1 chains, its core one
     assert poset_homology(FinitePoset.chain(40)).betti == (1,) + (0,) * 39
+
+
+def test_every_route_to_the_chains_refuses_beyond_the_limit(monkeypatch):
+    # each route lists the 26 chains of the S^2 model through order_complex
+    s2 = sphere_model(2)
+    module = importlib.import_module("finito.order_complex")  # the name is the function
+    routes = {
+        "order_complex": lambda p: order_complex(p).f_vector,
+        "homology": lambda p: homology(order_complex(p)).betti,
+        "emit faces": lambda p: emit(p, "faces").count("\n"),
+        "poset_homology": lambda p: poset_homology(p).betti,
+        "check_wedge_model": lambda p: check_wedge_model(p, 1).b1,
+    }
+    monkeypatch.setattr(module, "MAX_CHAINS", 25)
+    for route in routes.values():
+        with pytest.raises(
+            CapExceededError, match="^the order complex has 26 chains, beyond the limit of 25$"
+        ):
+            route(s2)
+    monkeypatch.setattr(module, "MAX_CHAINS", 26)
+    answers = {name: route(s2) for name, route in routes.items()}
+    assert answers == {
+        "order_complex": (6, 12, 8),
+        "homology": (1, 0, 1),
+        "emit faces": 26,
+        "poset_homology": (1, 0, 1),
+        "check_wedge_model": 0,
+    }
 
 
 def test_poset_homology_of_projective_plane_face_poset():

@@ -172,6 +172,11 @@ def test_presentation_disconnected_raises():
         edge_path_presentation(FinitePoset.antichain(2), 0)
     with pytest.raises(NotConnectedError):
         first_betti(FinitePoset.antichain(2))
+    # the walk from 0 misses the point 2 of the other component
+    split = FinitePoset.from_cover_pairs(3, [(0, 1)])
+    for build in (spanning_tree, lambda p, x0: loop_to_word(p, x0, (x0,))):
+        with pytest.raises(NotConnectedError, match="the space is not connected"):
+            build(split, 0)
 
 
 def chain_filter_presentation(p, x0):
@@ -292,25 +297,23 @@ def test_first_betti_matches_homology(classes_upto):
 
 
 def test_loop_to_word_four_cycle(ss0):
-    tree = spanning_tree(ss0, 0)
     loop = (0, 2, 1, 3, 0)
-    word = loop_to_word(ss0, 0, loop, tree)
+    word = loop_to_word(ss0, 0, loop)
     assert len(word) == 1 and abs(word[0]) == 1
-    assert loop_to_word(ss0, 0, (0,), tree) == ()
-    assert loop_to_word(ss0, 0, (0, 2, 0), tree) == ()
-    reversed_word = loop_to_word(ss0, 0, loop[::-1], tree)
+    assert loop_to_word(ss0, 0, (0,)) == ()
+    assert loop_to_word(ss0, 0, (0, 2, 0)) == ()
+    reversed_word = loop_to_word(ss0, 0, loop[::-1])
     assert reversed_word == tuple(-l for l in reversed(word))
 
 
 def test_loop_to_word_product_law(ss0, osaki_x):
     rng = random.Random(5)
     for p in (ss0, osaki_x):
-        tree = spanning_tree(p, 0)
         for _ in range(40):
             a = random_loop(p, 0, rng)
             b = random_loop(p, 0, rng)
-            assert loop_to_word(p, 0, a + b[1:], tree) == free_reduce(
-                loop_to_word(p, 0, a, tree) + loop_to_word(p, 0, b, tree)
+            assert loop_to_word(p, 0, a + b[1:]) == free_reduce(
+                loop_to_word(p, 0, a) + loop_to_word(p, 0, b)
             )
 
 
@@ -319,6 +322,10 @@ def test_loop_to_word_validates(ss0):
         loop_to_word(ss0, 0, (0, 2))
     with pytest.raises(IllFormedPathError):
         loop_to_word(ss0, 1, (0,))
+    # the tree is built from the basepoint: a tree of another numbering
+    # cannot be passed in
+    with pytest.raises(TypeError):
+        loop_to_word(ss0, 0, (0, 2, 1, 3, 0), frozenset({(0, 99)}))
 
 
 def test_close_moves_fix_words_exhaustively(classes_upto):
@@ -330,24 +337,25 @@ def test_close_moves_fix_words_exhaustively(classes_upto):
         if p.n < 2 or not p.is_connected():
             continue
         x0 = 0
-        tree = spanning_tree(p, x0)
         pres = edge_path_presentation(p, x0)
         relator_span = IntRowSpan(pres.generators)
         for rel in pres.relators:
             relator_span.add(abelianized(rel, pres.generators))
         for _ in range(6):
             loop = random_loop(p, x0, rng)
-            word = loop_to_word(p, x0, loop, tree)
+            word = loop_to_word(p, x0, loop)
+            # the word is in the numbering of the presentation
+            assert all(0 < abs(l) <= pres.generators for l in word)
             detour = monotonic_detour(p, rng.choice(loop), rng)
             if detour is None:
                 continue
             cut = rng.choice([i for i, q in enumerate(loop) if q == detour[0][0]])
             moved = close_move(p, loop, cut, insert=detour)
-            variants = [loop_to_word(p, x0, moved, tree)]
+            variants = [loop_to_word(p, x0, moved)]
             deletion = find_delete_move(p, moved, rng)
             if deletion is not None:
                 shrunk = close_move(p, moved, deletion)
-                variants.append(loop_to_word(p, x0, shrunk, tree))
+                variants.append(loop_to_word(p, x0, shrunk))
             for new_word in variants:
                 if p.height <= 2:
                     assert new_word == word
