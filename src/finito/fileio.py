@@ -18,7 +18,7 @@ from .errors import DuplicateCoverError, ParseError
 from .order_complex import faces_text, order_complex
 from .poset import FinitePoset
 
-_IDENT = re.compile(r"[A-Za-z0-9_]+$")
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
 
 FORMATS = ("poset", "json", "dot", "faces")
 
@@ -40,7 +40,7 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
     base_line = None
 
     def intern(name: str, lineno: int) -> int:
-        if not _IDENT.match(name):
+        if not _IDENT.fullmatch(name):
             raise ParseError(lineno, f"bad identifier {name!r}")
         if name not in index:
             index[name] = len(labels)
@@ -91,7 +91,7 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
 
 def _emittable_label(p: FinitePoset, x: int) -> str:
     name = p.label(x)
-    if not _IDENT.match(name):
+    if not _IDENT.fullmatch(name):
         raise ValueError(f"label {name!r} cannot appear in a poset file")
     return name
 

@@ -49,6 +49,8 @@ class SimplicialComplex:
         for f in faces:
             if not f:
                 raise ValueError("faces must be nonempty")
+            if len(set(f)) < len(f):
+                raise ValueError(f"face {f} repeats a vertex")
             seen.update(f)
             for i in range(len(f)):
                 sub = f[:i] + f[i + 1 :]

@@ -85,14 +85,11 @@ class GroupPresentation:
     def __post_init__(self):
         if self.generators < 0:
             raise ValueError(f"generator count must be non-negative, got {self.generators}")
-        reduced = tuple(
-            r for r in (free_reduce(rel) for rel in self.relators) if r
-        )
+        for letter in (l for rel in self.relators for l in rel):
+            if letter == 0 or abs(letter) > self.generators:
+                raise ValueError(f"letter {letter} out of range")
+        reduced = tuple(r for r in map(free_reduce, self.relators) if r)
         object.__setattr__(self, "relators", reduced)
-        for rel in self.relators:
-            for letter in rel:
-                if letter == 0 or abs(letter) > self.generators:
-                    raise ValueError(f"letter {letter} out of range")
 
 
 def free_reduce(word) -> tuple[int, ...]:
@@ -135,29 +132,22 @@ def spanning_tree(p: FinitePoset, x0: int) -> frozenset[tuple[int, int]]:
     return frozenset(tree)
 
 
-def comparability_edges(p: FinitePoset) -> list[tuple[int, int]]:
-    """1-skeleton of the order complex: index-sorted comparable pairs."""
-    return [
-        (i, j)
-        for i in range(p.n)
-        for j in range(i + 1, p.n)
-        if p.comparable(i, j)
-    ]
-
-
-def _generator_index(p: FinitePoset, tree) -> dict[tuple[int, int], int]:
-    """Number 1.. of each comparability edge outside the spanning tree."""
-    gens = (e for e in comparability_edges(p) if e not in tree)
-    return {e: i for i, e in enumerate(gens, 1)}
-
-
-def _edge_letter(p, tree, gen_index, a, b) -> tuple[int, ...]:
-    """Word of the skeleton edge traversed from a to b."""
-    pair = (min(a, b), max(a, b))
-    if pair in tree:
-        return ()
-    g = gen_index[pair]
-    return (g,) if p.leq(a, b) else (-g,)
+def _edge_words(p: FinitePoset, x0: int) -> tuple[dict, int]:
+    """Word of each step (a, b) along a comparability edge, and the generator
+    count: () on an edge of ``spanning_tree(p, x0)``, else (g,) going up and
+    (-g,) going down, g = 1.. over the index-sorted edges outside the tree."""
+    tree = spanning_tree(p, x0)
+    words = {}
+    g = 0
+    for a in range(p.n):
+        for b in _bits((p.up[a] | p.down[a]) >> (a + 1) << (a + 1)):
+            if (a, b) in tree:
+                words[a, b] = words[b, a] = ()
+            else:
+                g += 1
+                s = g if p.leq(a, b) else -g
+                words[a, b], words[b, a] = (s,), (-s,)
+    return words, g
 
 
 def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
@@ -168,33 +158,27 @@ def edge_path_presentation(p: FinitePoset, x0: int) -> GroupPresentation:
     each three-point chain x < y < z contributes the relator saying the
     two short steps compose to the long one.
     """
-    tree = spanning_tree(p, x0)
-    gen_index = _generator_index(p, tree)
+    words, generators = _edge_words(p, x0)
     strict_up = [p.up[x] & ~(1 << x) for x in range(p.n)]
-    relators = []
     # the three-point chains in the order FinitePoset.chains lists them
-    for x in range(p.n):
-        for y in _bits(strict_up[x]):
-            for z in _bits(strict_up[y]):
-                relators.append(
-                    _edge_letter(p, tree, gen_index, x, y)
-                    + _edge_letter(p, tree, gen_index, y, z)
-                    + invert_word(_edge_letter(p, tree, gen_index, x, z))
-                )
+    relators = tuple(
+        words[x, y] + words[y, z] + words[z, x]
+        for x in range(p.n)
+        for y in _bits(strict_up[x])
+        for z in _bits(strict_up[y])
+    )
     # GroupPresentation reduces each word and drops the empty ones
-    return GroupPresentation(len(gen_index), tuple(relators))
+    return GroupPresentation(generators, relators)
 
 
 def loop_to_word(p: FinitePoset, x0: int, loop: tuple[int, ...]) -> tuple[int, ...]:
     """Image of a loop in ``edge_path_presentation(p, x0)``: tree edges
     vanish, any other edge maps to its generator, signed by direction."""
-    tree = spanning_tree(p, x0)
+    words = _edge_words(p, x0)[0]
     validate_path(p, loop)
     if loop[0] != x0 or loop[-1] != x0:
         raise IllFormedPathError(f"not a loop at {x0}")
-    gen_index = _generator_index(p, tree)
-    steps = zip(loop, loop[1:])
-    return free_reduce(l for a, b in steps for l in _edge_letter(p, tree, gen_index, a, b))
+    return free_reduce(l for step in zip(loop, loop[1:]) for l in words[step])
 
 
 def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
@@ -278,7 +262,8 @@ def free_rank(pres: GroupPresentation) -> int | None:
 
 
 def first_betti(p: FinitePoset) -> int:
-    """Rank of the abelianized fundamental group (equals homology b1)."""
+    """Rank of the abelianized fundamental group (equals homology b1); it
+    presents the group at point 0, so a disconnected p raises NotConnectedError."""
     pres = edge_path_presentation(p, 0)
     # each relator's exponent row, as a sparse {generator: exponent} map
     rows = [

@@ -86,6 +86,10 @@ def test_emit_rejects_bad_labels():
     p = FinitePoset((1,), labels=("not ok",))
     with pytest.raises(ValueError):
         emit(p)
+    # the whole label must match, a trailing newline included
+    p = FinitePoset.from_cover_pairs(2, [(0, 1)], labels=["a\n", "b"])
+    with pytest.raises(ValueError, match=r"label 'a\\n' cannot appear in a poset file"):
+        emit(p)
 
 
 def test_emit_dot_golden(ss0):

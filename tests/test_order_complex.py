@@ -94,6 +94,8 @@ def test_complex_validation():
         SimplicialComplex(3, [(0,), (1,)])  # vertex 2 missing
     with pytest.raises(ValueError, match="at least one face"):
         SimplicialComplex(0, [])
+    with pytest.raises(ValueError, match=r"face \(0, 0\) repeats a vertex"):
+        SimplicialComplex(1, [(0,), (0, 0)])
 
 
 def test_euler_characteristic_examples(wedge5):

@@ -22,13 +22,7 @@ from finito import (
     tietze_simplify,
 )
 from finito.models import bipartite_model, sphere_model
-from finito.pi1 import (
-    _edge_letter,
-    abelianized,
-    comparability_edges,
-    free_reduce,
-    invert_word,
-)
+from finito.pi1 import abelianized, free_reduce
 from int_row_span import IntRowSpan
 from tietze_oracle import tietze_simplify as rescanning_tietze
 
@@ -180,19 +174,27 @@ def test_presentation_disconnected_raises():
 
 
 def chain_filter_presentation(p, x0):
-    """Reference: relators from the three-point chains among all chains."""
+    """Reference: one generator per index-sorted comparable pair outside
+    the spanning tree, one relator per three-point chain among all chains."""
     tree = spanning_tree(p, x0)
-    gens = [e for e in comparability_edges(p) if e not in tree]
-    gen_index = {e: i + 1 for i, e in enumerate(gens)}
-    relators = []
-    for x, y, z in (c for c in p.chains() if len(c) == 3):
-        word = free_reduce(
-            _edge_letter(p, tree, gen_index, x, y)
-            + _edge_letter(p, tree, gen_index, y, z)
-            + invert_word(_edge_letter(p, tree, gen_index, x, z))
-        )
-        if word:
-            relators.append(word)
+    gens = [
+        (i, j)
+        for i in range(p.n)
+        for j in range(i + 1, p.n)
+        if (p.leq(i, j) or p.leq(j, i)) and (i, j) not in tree
+    ]
+    number = {e: g for g, e in enumerate(gens, 1)}
+
+    def step(a, b):
+        pair = (min(a, b), max(a, b))
+        if pair in tree:
+            return ()
+        return (number[pair],) if p.leq(a, b) else (-number[pair],)
+
+    relators = [
+        step(x, y) + step(y, z) + step(z, x)
+        for x, y, z in (c for c in p.chains() if len(c) == 3)
+    ]
     return GroupPresentation(len(gens), tuple(relators))
 
 
@@ -268,8 +270,10 @@ def test_tietze_matches_rescanning_oracle(classes_upto):
 def test_group_presentation_normalizes():
     pres = GroupPresentation(2, ((1, -1), (1, 2, -2, -1)))
     assert pres.relators == ()
-    with pytest.raises(ValueError):
-        GroupPresentation(1, ((2,),))
+    # letters are checked before free reduction, so cancelling ones too
+    for relators, letter in ((((2,),), 2), (((3, -3),), 3), (((0, 0),), 0)):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+            GroupPresentation(1, relators)
 
 
 def test_group_presentation_rejects_a_negative_generator_count():
