@@ -6,7 +6,6 @@ from finito import (
     bipartite_model,
     core,
     euler_characteristic,
-    f_vector,
     homology,
     order_complex,
     sphere_model,
@@ -14,11 +13,11 @@ from finito import (
 
 # chains of a 3-chain = all nonempty subsets: a full triangle
 full = order_complex(FinitePoset.chain(3))
-print("3-chain f-vector:", f_vector(full))
+print("3-chain f-vector:", full.f_vector)
 
 # the 4-point circle model gives a 4-cycle graph
 circle = sphere_model(1)
-print("circle f-vector:", f_vector(order_complex(circle)))
+print("circle f-vector:", order_complex(circle).f_vector)
 print("circle euler:", euler_characteristic(circle))
 print(homology(order_complex(circle)))
 print()

@@ -4,9 +4,9 @@
 
 from finito import (
     beat_points,
-    betti_numbers,
     emit,
     nh_suspension,
+    poset_homology,
     sphere_model,
     verify_sphere_theorem,
 )
@@ -14,7 +14,7 @@ from finito import (
 for n in range(4):
     s = sphere_model(n)
     print(f"n={n}: {s.n} points, height {s.height}, "
-          f"betti {betti_numbers(s)}, beat points {len(beat_points(s))}")
+          f"betti {poset_homology(s).betti}, beat points {len(beat_points(s))}")
 print()
 print("the 4-point circle model:")
 print(emit(sphere_model(1)))

@@ -17,7 +17,7 @@ print()
 # complete bipartite posets realize b1 = (i-1)(j-1)
 for i, j in [(2, 3), (2, 4), (3, 3)]:
     b = bipartite_model(i, j)
-    print(f"bipartite({i},{j}): {b.n} points, {b.cover_count} edges, b1 = {first_betti(b)}")
+    print(f"bipartite({i},{j}): {b.n} points, {len(b.covers)} edges, b1 = {first_betti(b)}")
 print()
 
 # the three shapes of a triple circle wedge, all with 6 points and 8 edges

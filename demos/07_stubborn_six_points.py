@@ -4,11 +4,11 @@
 from finito import (
     FinitePoset,
     beat_points,
-    betti_numbers,
     euler_characteristic,
     mccord_check,
     nh_suspension,
     osaki,
+    poset_homology,
 )
 
 x = FinitePoset.from_cover_pairs(
@@ -33,4 +33,4 @@ collapse = [3, 4, 3, 0, 1, 2]
 report = mccord_check(x, y, collapse)
 print("collapse passes the cover criterion:", report.ok)
 print("euler:", euler_characteristic(x), "=", euler_characteristic(y))
-print("betti:", betti_numbers(x), "=", betti_numbers(y))
+print("betti:", poset_homology(x).betti, "=", poset_homology(y).betti)

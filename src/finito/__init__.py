@@ -43,9 +43,7 @@ from .models import (
 from .order_complex import (
     HomologySummary,
     SimplicialComplex,
-    betti_numbers,
     euler_characteristic,
-    f_vector,
     faces_text,
     homology,
     order_complex,
@@ -86,10 +84,10 @@ __all__ = [  # the names imported above; no submodule
     "GroupPresentation", "HomologySummary", "IllFormedMoveError",
     "IllFormedPathError", "LastPointError", "McCordReport", "NotConnectedError",
     "NotContinuousError", "ParseError", "ReductionTrace", "SimplicialComplex",
-    "WedgeModelCertificate", "beat_points", "betti_numbers", "bipartite_model",
+    "WedgeModelCertificate", "beat_points", "bipartite_model",
     "check_wedge_model", "close_move", "core", "edge_path_presentation", "emit",
     "enumerate_posets", "enumerate_wedge_minimal_models", "enumeration_stats",
-    "euler_characteristic", "f_vector", "faces_text", "first_betti", "flatten_to_height2",
+    "euler_characteristic", "faces_text", "first_betti", "flatten_to_height2",
     "free_rank", "homology", "is_contractible", "is_homotopy_equivalent", "is_monotonic",
     "loop_to_word", "mccord_check", "minimal_wedge_size", "nh_suspension", "order_complex",
     "osaki", "osaki_closed_reduction", "osaki_open_reduction", "parse_poset",

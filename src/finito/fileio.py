@@ -32,20 +32,15 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
     are dropped.  A ``@base`` point must be declared by some other
     statement.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-    covers: list[tuple[int, int]] = []
-    seen_covers = set()
+    covers = set()
     base_name = None
     base_line = None
 
     def intern(name: str, lineno: int) -> int:
         if not _IDENT.fullmatch(name):
             raise ParseError(lineno, f"bad identifier {name!r}")
-        if name not in index:
-            index[name] = len(labels)
-            labels.append(name)
-        return index[name]
+        return index.setdefault(name, len(index))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,28 +60,27 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
             y = intern(sides[1], lineno)
             if x == y:
                 raise ParseError(lineno, f"{sides[0]!r} cannot cover itself")
-            if (x, y) in seen_covers:
+            if (x, y) in covers:
                 warnings.warn(
                     f"line {lineno}: duplicate cover {sides[0]} < {sides[1]}",
                     DuplicateCoverError,
                     stacklevel=2,
                 )
                 continue
-            seen_covers.add((x, y))
-            covers.append((x, y))
+            covers.add((x, y))
             continue
         if len(line.split()) != 1:
             raise ParseError(lineno, f"cannot parse {line!r}")
         intern(line, lineno)
 
-    if not labels:
+    if not index:
         raise ParseError(None, "no points declared")
     base = None
     if base_name is not None:
         if base_name not in index:
             raise ParseError(base_line, f"basepoint {base_name!r} never declared")
         base = index[base_name]
-    return FinitePoset.from_cover_pairs(len(labels), covers, labels), base
+    return FinitePoset.from_cover_pairs(len(index), covers, tuple(index)), base
 
 
 def _emittable_label(p: FinitePoset, x: int) -> str:

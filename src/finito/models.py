@@ -12,6 +12,7 @@ their scope: nothing is claimed beyond the sizes scanned.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +21,7 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError
-from .order_complex import betti_numbers
+from .order_complex import poset_homology
 from .poset import FinitePoset
 from .reduction import is_minimal
 
@@ -111,14 +112,14 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
     passing all three conditions really is a connected model with b1 = n
     (a consequence of the conditions, not an extra requirement).
     """
-    betti = betti_numbers(p)
+    betti = poset_homology(p).betti
     return WedgeModelCertificate(
         n=n,
         size=p.n,
-        edges=p.cover_count,
+        edges=len(p.covers),
         height_ok=p.height == 2,
         size_ok=p.n == minimal_wedge_size(n),
-        edges_ok=p.cover_count == p.n + n - 1,
+        edges_ok=len(p.covers) == p.n + n - 1,
         connected=p.is_connected(),
         b1=betti[1] if len(betti) > 1 else 0,
     )
@@ -214,7 +215,8 @@ def _census(k: int, p: FinitePoset | None = None, *,
             want: str | None = None) -> tuple[Counter, list[bytes]]:
     """Filter names of the k-point classes the walk builds from p, counted,
     and the codes of those passing the filter named want, unsorted: of
-    every class for "", of none for None, so only these are labelled."""
+    every class for "", of none for None; no other class is labelled
+    beyond the parents and ties the walk needs."""
     tally, codes = Counter(), []
     for q in _walk(k, p):
         if q.n == k:
@@ -230,6 +232,9 @@ def _pooled(job, k: int, workers: int) -> list:
     for each p of the first size with 32 classes a worker, or k - 1 points."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be from 1 to {cpus} (the CPU count), got {workers}")
     if workers == 1:
         return [job(k)]
     frontier = [next(_walk(k))]  # the one-point class
@@ -257,8 +262,8 @@ class EnumerationStats:
 
 
 def enumeration_stats(k: int, *, workers: int = 1) -> EnumerationStats:
-    """Counts over the k-point classes the workers walk, none labelled or
-    decoded for it."""
+    """Counts over the k-point classes the workers walk, none decoded and
+    none labelled beyond the parents and ties the walk needs."""
     return _enumeration(k, None, workers)[0]
 
 

@@ -145,10 +145,6 @@ def euler_characteristic(p: FinitePoset) -> int:
     return sum((-1) ** d * c for d, c in enumerate(_chain_counts(p)))
 
 
-def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
-    return k.f_vector
-
-
 def _boundary_columns(k: SimplicialComplex, d: int) -> list[dict[int, int]]:
     """Boundary map C_d -> C_{d-1} as sparse columns {row: +-1}, one per
     d-face; rows and columns follow ``faces_of_dim``."""
@@ -194,11 +190,6 @@ def poset_homology(p: FinitePoset) -> HomologySummary:
     h = homology(order_complex(core(p).final))
     pad = p.height - len(h.betti)
     return HomologySummary(h.betti + (0,) * pad, h.torsion + ((),) * pad)
-
-
-def betti_numbers(p: FinitePoset) -> tuple[int, ...]:
-    """Betti numbers of the order complex of p."""
-    return poset_homology(p).betti
 
 
 def faces_text(k: SimplicialComplex) -> str:

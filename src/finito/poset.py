@@ -33,6 +33,20 @@ def _check_point(p: "FinitePoset", x: int) -> None:
         raise IndexError(f"point {x} out of range for n={p.n}")
 
 
+def _checked_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...] | None:
+    """The labels as a tuple, one per point and each naming one point;
+    ValueError otherwise."""
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError("labels length must equal point count")
+    if len(set(labels)) != n:
+        name = next(a for i, a in enumerate(labels) if a in labels[:i])
+        raise ValueError(f"label {name!r} names two points")
+    return labels
+
+
 def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Kahn topological order of the cover digraph; raises CycleError."""
     succ = [[] for _ in range(n)]
@@ -82,9 +96,7 @@ class FinitePoset:
                     raise ValueError(f"relation is not transitive at ({x}, {y})")
         self.n = n
         self.up = up
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal point count")
+        self.labels = _checked_labels(labels, n)
 
     # -- constructors -----------------------------------------------------
 
@@ -115,9 +127,9 @@ class FinitePoset:
         This is where a cover relation from outside is checked: EmptyError
         for n < 1, IndexError for a pair out of range, CycleError for a
         self-loop or a directed cycle, ValueError for a label list of the
-        wrong length.  Redundant (non-reduced) pairs are tolerated and
-        closed over.  The closure of an acyclic relation is a partial order,
-        so it is not checked again.
+        wrong length or with a repeated label.  Redundant (non-reduced)
+        pairs are tolerated and closed over.  The closure of an acyclic
+        relation is a partial order, so it is not checked again.
         """
         if n < 1:
             raise EmptyError("a finite space needs at least one point")
@@ -127,10 +139,7 @@ class FinitePoset:
                 raise IndexError(f"cover ({x}, {y}) out of range for n={n}")
             if x == y:
                 raise CycleError(f"self-loop at {x}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels length must equal point count")
+        labels = _checked_labels(labels, n)
         up = [1 << x for x in range(n)]
         above = [[] for _ in range(n)]
         for x, y in pairs:
@@ -289,10 +298,6 @@ class FinitePoset:
                 if not strict & (self.down[y] & ~(1 << y)):
                     covers.append((x, y))
         return tuple(covers)
-
-    @property
-    def cover_count(self) -> int:
-        return len(self.covers)
 
     # -- canonical form ----------------------------------------------------
 

@@ -16,7 +16,6 @@ from math import isqrt
 from finito import (
     FinitePoset,
     beat_points,
-    betti_numbers,
     core,
     edge_path_presentation,
     enumerate_posets,
@@ -27,6 +26,7 @@ from finito import (
     minimal_wedge_size,
     osaki_closed_reduction,
     osaki_open_reduction,
+    poset_homology,
     remove_point,
     sphere_model,
     verify_sphere_theorem,
@@ -45,7 +45,7 @@ def report(num, text):
 
 
 def b1_of(p):
-    betti = betti_numbers(p)
+    betti = poset_homology(p).betti
     return betti[1] if len(betti) > 1 else 0
 
 
@@ -61,7 +61,7 @@ def size_census(classes_upto, size):
             (
                 p.is_connected(),
                 p.height,
-                p.cover_count,
+                len(p.covers),
                 b1_of(p) if height2 else None,
             )
         )
@@ -96,7 +96,7 @@ def test_criterion_2_sphere_homology():
     with report(2, "sphere models have sphere homology and Euler numbers"):
         for n in range(1, 5):
             s = sphere_model(n)
-            assert betti_numbers(s) == tuple([1] + [0] * (n - 1) + [1])
+            assert poset_homology(s).betti == tuple([1] + [0] * (n - 1) + [1])
             assert euler_characteristic(s) == 1 + (-1) ** n
 
 
@@ -141,7 +141,7 @@ def test_criterion_4_three_models_of_three_circles():
         models = enumerate_wedge_minimal_models(3)
         assert len(models) == 3
         for m in models:
-            assert m.n == 6 and m.cover_count == 8
+            assert m.n == 6 and len(m.covers) == 8
         codes = {m.canonical_form() for m in models}
         assert {m.opposite().canonical_form() for m in models} == codes
 

@@ -11,10 +11,10 @@ def test_public_names_are_pinned():
         "IllFormedMoveError", "IllFormedPathError", "LastPointError", "McCordReport",
         "NotConnectedError", "NotContinuousError", "ParseError",
         "ReductionTrace", "SimplicialComplex", "WedgeModelCertificate", "beat_points",
-        "betti_numbers", "bipartite_model", "check_wedge_model", "close_move", "core",
+        "bipartite_model", "check_wedge_model", "close_move", "core",
         "edge_path_presentation", "emit", "enumerate_posets",
         "enumerate_wedge_minimal_models", "enumeration_stats",
-        "euler_characteristic", "f_vector", "faces_text", "first_betti",
+        "euler_characteristic", "faces_text", "first_betti",
         "flatten_to_height2", "free_rank", "homology", "is_contractible",
         "is_homotopy_equivalent", "is_monotonic", "loop_to_word", "mccord_check",
         "minimal_wedge_size", "nh_suspension", "order_complex", "osaki",

@@ -74,6 +74,10 @@ def test_emit_round_trip_enumerated(classes_upto):
         q, _ = parse_poset(emit(labeled))
         assert sorted(q.labels) == sorted(names)
         assert q.is_homeomorphic(p)
+        at = {name: i for i, name in enumerate(q.labels)}
+        for x, a in enumerate(names):
+            for y, b in enumerate(names):
+                assert q.leq(at[a], at[b]) == p.leq(x, y)
 
 
 def test_emit_base_round_trip():

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -12,7 +13,6 @@ from finito import (
     CapExceededError,
     FinitePoset,
     beat_points,
-    betti_numbers,
     bipartite_model,
     check_wedge_model,
     enumerate_posets,
@@ -22,6 +22,7 @@ from finito import (
     is_contractible,
     minimal_wedge_size,
     nh_suspension,
+    poset_homology,
     sphere_model,
     verify_sphere_theorem,
     verify_wedge_theorem,
@@ -91,17 +92,17 @@ def test_nh_suspension_of_point_is_contractible():
 
 def test_nh_suspension_of_three_points(osaki_y):
     s = nh_suspension(FinitePoset.antichain(3))
-    assert s.n == 5 and s.cover_count == 6
+    assert s.n == 5 and len(s.covers) == 6
     assert s.is_homeomorphic(osaki_y)
 
 
 def test_sphere_models():
     assert sphere_model(0) == FinitePoset.antichain(2)
     s1 = sphere_model(1)
-    assert s1.n == 4 and s1.cover_count == 4
+    assert s1.n == 4 and len(s1.covers) == 4
     s2 = sphere_model(2)
     assert s2.n == 6 and euler_characteristic(s2) == 2
-    assert betti_numbers(s2) == (1, 0, 1)
+    assert poset_homology(s2).betti == (1, 0, 1)
     for n in range(5):
         s = sphere_model(n)
         assert s.n == 2 * n + 2 and s.height == n + 1
@@ -114,8 +115,8 @@ def test_bipartite_models(wedge5):
     assert bipartite_model(1, 1).is_homeomorphic(FinitePoset.chain(2))
     assert is_contractible(bipartite_model(1, 1))
     b = bipartite_model(2, 4)
-    assert b.n == 6 and b.cover_count == 8
-    assert betti_numbers(b)[1] == 3
+    assert b.n == 6 and len(b.covers) == 8
+    assert poset_homology(b).betti[1] == 3
     assert bipartite_model(3, 2).is_homeomorphic(bipartite_model(2, 3).opposite())
 
 
@@ -215,6 +216,18 @@ def test_walk_census_matches_the_listed_classes(workers):
         assert list(stats.by_filter.items()) == list(by_filter.items())
 
 
+def test_workers_out_of_range_are_refused():
+    """Both entry points to the pool refuse a worker count outside 1 to the
+    CPU count before any process starts."""
+    cpus = os.cpu_count() or 1
+    for workers in (0, cpus + 1):
+        message = f"workers must be from 1 to {cpus} \\(the CPU count\\), got {workers}"
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_posets(3, workers=workers))
+        with pytest.raises(ValueError, match=message):
+            enumeration_stats(3, workers=workers)
+
+
 def test_verify_sphere_theorem_h2():
     report = verify_sphere_theorem(2)
     assert report.confirmed
@@ -286,7 +299,7 @@ def test_wedge_three_models():
     models = enumerate_wedge_minimal_models(3)
     assert len(models) == 3
     for m in models:
-        assert m.n == 6 and m.cover_count == 8
+        assert m.n == 6 and len(m.covers) == 8
         cert = check_wedge_model(m, 3)
         assert cert.connected and cert.b1 == 3
     forms = {m.canonical_form() for m in models}

@@ -8,7 +8,6 @@ from finito import (
     IllFormedMoveError,
     IllFormedPathError,
     NotConnectedError,
-    betti_numbers,
     close_move,
     edge_path_presentation,
     euler_characteristic,
@@ -17,6 +16,7 @@ from finito import (
     is_contractible,
     is_monotonic,
     loop_to_word,
+    poset_homology,
     presentation_text,
     spanning_tree,
     tietze_simplify,
@@ -295,7 +295,7 @@ def test_first_betti_matches_homology(classes_upto):
     for p in classes_upto(7):
         if not p.is_connected():
             continue
-        betti = betti_numbers(p)
+        betti = poset_homology(p).betti
         b1 = betti[1] if len(betti) > 1 else 0
         assert first_betti(p) == b1, p
 

@@ -72,12 +72,28 @@ def test_from_covers_rejects_cycles_and_empty():
         ((4, [(0, 1), (1, 2), (2, 0), (0, 3)]), CycleError,
          "cover relation contains a directed cycle"),
         ((2, [], ["a"]), ValueError, "labels length must equal point count"),
+        ((3, [(0, 1), (2, 1)], ["a", "b", "a"]), ValueError, "label 'a' names two points"),
     ]
     for args, error, message in cases:
         with pytest.raises(error) as info:
             FinitePoset.from_cover_pairs(*args)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+def test_constructor_rejects_bad_labels():
+    """``FinitePoset(up, labels)`` checks its labels as ``from_cover_pairs``
+    does: one per point, each naming one point."""
+    chain2 = (0b11, 0b10)
+    cases = [
+        (["a"], "labels length must equal point count"),
+        (["a", "a"], "label 'a' names two points"),
+    ]
+    for labels, message in cases:
+        with pytest.raises(ValueError) as info:
+            FinitePoset(chain2, labels)
+        assert str(info.value) == message
+    assert FinitePoset(chain2, ["a", "b"]).labels == ("a", "b")
 
 
 def test_from_covers_tolerates_redundant_edges():
@@ -94,7 +110,6 @@ def test_hasse_matches_brute_reduction(ss0, ex4, classes_upto):
     for p in (ss0, ex4, FinitePoset.chain(4), FinitePoset.antichain(3), *classes_upto(6)):
         assert set(p.covers) == brute_reduction(p)
         assert list(p.covers) == sorted(p.covers)
-        assert p.cover_count == len(p.covers)
     assert len(ss0.covers) == 4
     assert FinitePoset.antichain(5).covers == ()
 

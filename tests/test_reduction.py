@@ -10,7 +10,6 @@ from finito import (
     NotConnectedError,
     NotContinuousError,
     beat_points,
-    betti_numbers,
     core,
     euler_characteristic,
     flatten_to_height2,
@@ -20,6 +19,7 @@ from finito import (
     osaki,
     osaki_closed_reduction,
     osaki_open_reduction,
+    poset_homology,
     remove_point,
 )
 from finito import reduction
@@ -28,7 +28,7 @@ from finito.reduction import BeatPointReport, ReductionTrace, _quotient
 
 
 def b1(p):
-    betti = betti_numbers(p)
+    betti = poset_homology(p).betti
     return betti[1] if len(betti) > 1 else 0
 
 

@@ -21,7 +21,7 @@ def wedge_models_by_enumeration(ns) -> dict[int, list[FinitePoset]]:
         for p in enumerate_posets(size):
             if p.height != 2:
                 continue
-            n = p.cover_count - size + 1
+            n = len(p.covers) - size + 1
             if sizes.get(n) == size and check_wedge_model(p, n).all_satisfied:
                 found[n].append(p)
     return found
