@@ -19,7 +19,6 @@ from .errors import (
     FlattenBlockedError,
     IllFormedMoveError,
     IllFormedPathError,
-    LastPointError,
     NotConnectedError,
     NotContinuousError,
     ParseError,
@@ -75,14 +74,13 @@ from .reduction import (
     osaki,
     osaki_closed_reduction,
     osaki_open_reduction,
-    remove_point,
 )
 
 __all__ = [  # the names imported above; no submodule
     "BeatPointReport", "CapExceededError", "CycleError", "DuplicateCoverError",
     "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError", "FlattenBlockedError",
     "GroupPresentation", "HomologySummary", "IllFormedMoveError",
-    "IllFormedPathError", "LastPointError", "McCordReport", "NotConnectedError",
+    "IllFormedPathError", "McCordReport", "NotConnectedError",
     "NotContinuousError", "ParseError", "ReductionTrace", "SimplicialComplex",
     "WedgeModelCertificate", "beat_points", "bipartite_model",
     "check_wedge_model", "close_move", "core", "edge_path_presentation", "emit",
@@ -91,7 +89,7 @@ __all__ = [  # the names imported above; no submodule
     "free_rank", "homology", "is_contractible", "is_homotopy_equivalent", "is_monotonic",
     "loop_to_word", "mccord_check", "minimal_wedge_size", "nh_suspension", "order_complex",
     "osaki", "osaki_closed_reduction", "osaki_open_reduction", "parse_poset",
-    "poset_homology", "presentation_text", "remove_point", "spanning_tree", "sphere_model",
+    "poset_homology", "presentation_text", "spanning_tree", "sphere_model",
     "tietze_simplify", "verify_sphere_theorem", "verify_wedge_theorem",
     "wedge_uniqueness_scan",
 ]

@@ -324,17 +324,18 @@ def cmd_verify_wedges(args) -> int:
 
 
 def _filter_name(spec: str) -> str:
-    """The filter name that --filter SPEC asks for: height=03 is height=3."""
+    """The filter name that --filter SPEC asks for: height=03 is height=3.
+    H is ASCII digits with an optional leading minus sign."""
     if spec in ("connected", "minimal"):
         return spec
     if spec.startswith("height="):
         value = spec.split("=", 1)[1]
-        try:
-            h = int(value)
-        except ValueError:
+        digits = value.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(
                 f"the value of --filter height=H must be a whole number, got {value!r}"
-            ) from None
+            )
+        h = int(value)
         if h < 1:
             raise ValueError(f"the value of --filter height=H must be at least 1, got {value!r}")
         return f"height={h}"

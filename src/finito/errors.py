@@ -30,10 +30,6 @@ class NotConnectedError(FinitoError):
     """Operation requires a connected space."""
 
 
-class LastPointError(FinitoError):
-    """Removing the last point would leave the empty space."""
-
-
 class NotContinuousError(FinitoError):
     """A map between finite spaces is not order preserving."""
 

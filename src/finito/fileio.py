@@ -30,7 +30,7 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
     Raises ParseError (with line number), or CycleError for a cyclic cover
     relation.  Duplicate cover declarations warn (DuplicateCoverError) and
     are dropped.  A ``@base`` point must be declared by some other
-    statement.
+    statement, and a second ``@base`` is refused.
     """
     index: dict[str, int] = {}
     covers = set()
@@ -50,6 +50,8 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
             parts = line.split()
             if parts[0] != "@base" or len(parts) != 2:
                 raise ParseError(lineno, f"unknown directive {line!r}")
+            if base_line is not None:
+                raise ParseError(lineno, f"a second @base (the first is on line {base_line})")
             base_name, base_line = parts[1], lineno
             continue
         if "<" in line:

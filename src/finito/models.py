@@ -63,28 +63,12 @@ def bipartite_model(i: int, j: int) -> FinitePoset:
 # -- wedge-of-circles models ----------------------------------------------------
 
 
-def _ceil_sqrt(n: int) -> int:
-    s = isqrt(n)
-    return s if s * s == n else s + 1
-
-
 def minimal_wedge_size(n: int) -> int:
-    """Point count of any minimal model of an n-circle wedge.
-
-    Direct minimum of i+j over (i-1)(j-1) >= n, asserted equal to the
-    closed form min{2*ceil(sqrt(n)+1), 2*ceil((1+sqrt(1+4n))/2)+1}.
-    All square roots are exact integer ceilings, never floats.
-    """
+    """Point count of any minimal model of an n-circle wedge: the least
+    i+j with (i-1)(j-1) >= n."""
     if n < 1:
         raise ValueError("the wedge needs at least one circle")
-    direct = min(i + (n + i - 2) // (i - 1) + 1 for i in range(2, n + 2))
-    even = 2 * (_ceil_sqrt(n) + 1)
-    # odd candidate: the smallest k with 2k-1 >= sqrt(1+4n) gives 2k+1 points
-    odd = 2 * ((_ceil_sqrt(1 + 4 * n) + 2) // 2) + 1
-    closed = min(even, odd)
-    if direct != closed:
-        raise AssertionError(f"size formula mismatch at n={n}: {direct} != {closed}")
-    return direct
+    return min(i + (n + i - 2) // (i - 1) + 1 for i in range(2, n + 2))
 
 
 @dataclass(frozen=True)

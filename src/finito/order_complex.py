@@ -91,9 +91,6 @@ class SimplicialComplex:
         start = sum(self.f_vector[:d])
         return list(self.faces[start : start + self.f_vector[d]])
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * c for d, c in enumerate(self.f_vector))
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)

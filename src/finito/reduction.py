@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (
-    FlattenBlockedError,
-    LastPointError,
-    NotConnectedError,
-    NotContinuousError,
-)
+from .errors import FlattenBlockedError, NotConnectedError, NotContinuousError
 from .poset import FinitePoset, _bits, _check_point
 
 
@@ -229,15 +224,6 @@ def mccord_check(src: FinitePoset, dst: FinitePoset, mapping) -> McCordReport:
         good = bool(pre) and _contractible(src, sum(1 << s for s in pre))
         entries.append((y, pre, good))
     return McCordReport(all(e[2] for e in entries), tuple(entries))
-
-
-def remove_point(p: FinitePoset, x: int) -> FinitePoset:
-    """Induced order on the complement of one point; a point out of range
-    raises IndexError."""
-    _check_point(p, x)
-    if p.n < 2:
-        raise LastPointError("cannot remove the last point")
-    return p.subposet([v for v in range(p.n) if v != x])
 
 
 def flatten_to_height2(p: FinitePoset, x0: int) -> tuple[FinitePoset, tuple[int, ...]]:

@@ -8,7 +8,7 @@ def test_public_names_are_pinned():
         "BeatPointReport", "CapExceededError", "CycleError", "DuplicateCoverError",
         "EmptyError", "EnumerationStats", "FinitePoset", "FinitoError",
         "FlattenBlockedError", "GroupPresentation", "HomologySummary",
-        "IllFormedMoveError", "IllFormedPathError", "LastPointError", "McCordReport",
+        "IllFormedMoveError", "IllFormedPathError", "McCordReport",
         "NotConnectedError", "NotContinuousError", "ParseError",
         "ReductionTrace", "SimplicialComplex", "WedgeModelCertificate", "beat_points",
         "bipartite_model", "check_wedge_model", "close_move", "core",
@@ -19,7 +19,7 @@ def test_public_names_are_pinned():
         "is_homotopy_equivalent", "is_monotonic", "loop_to_word", "mccord_check",
         "minimal_wedge_size", "nh_suspension", "order_complex", "osaki",
         "osaki_closed_reduction", "osaki_open_reduction", "parse_poset",
-        "poset_homology", "presentation_text", "remove_point",
+        "poset_homology", "presentation_text",
         "spanning_tree", "sphere_model", "tietze_simplify", "verify_sphere_theorem",
         "verify_wedge_theorem", "wedge_uniqueness_scan",
     ]

@@ -505,7 +505,7 @@ def test_unknown_pi1_base_has_no_line_number(capsys, counter_file):
 
 
 def test_bad_height_filter_is_named(capsys):
-    for spec in ("height=x", "height="):
+    for spec in ("height=x", "height=", "height=1_0", "height= 2", "height=\u0663"):
         code, out, err = run(capsys, "enumerate", "3", "--filter", spec)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--filter height=H" in err
@@ -514,6 +514,9 @@ def test_bad_height_filter_is_named(capsys):
         code, out, err = run(capsys, "enumerate", "3", "--filter", spec)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--filter height=H" in err and "at least 1" in err
+    # leading zeros name the same height
+    code, out, _ = run(capsys, "enumerate", "3", "--filter", "height=03")
+    assert code == 0 and out == "k=3 [height=03]: 1 classes\n"
 
 
 def by_filter_json(k, total, connected, minimal, heights):

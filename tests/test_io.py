@@ -50,6 +50,8 @@ def test_parse_errors():
         parse_poset("")
     with pytest.raises(ParseError, match="never declared"):
         parse_poset("a < b\n@base q\n")
+    with pytest.raises(ParseError, match="line 3: a second @base"):
+        parse_poset("a < b\n@base a\n@base b\n")
     with pytest.raises(CycleError):
         parse_poset("a < b\nb < c\nc < a\n")
 

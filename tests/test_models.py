@@ -208,7 +208,8 @@ def listed_census(k):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_walk_census_matches_the_listed_classes(workers):
+def test_walk_census_matches_the_listed_classes(workers, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     for k in range(1, 8):
         stats = enumeration_stats(k, workers=workers)
         total, by_filter = listed_census(k)
@@ -368,7 +369,8 @@ def test_wedge_models_closed_under_opposite_up_to_cap():
         assert {m.opposite().canonical_form() for m in models} == codes
 
 
-def test_enumeration_reproducible_fresh_and_parallel():
+def test_enumeration_reproducible_fresh_and_parallel(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     serial, again, parallel = (
         [p.canonical_form() for p in enumerate_posets(6, workers=workers)]
         for workers in (1, 1, 2)
@@ -382,7 +384,8 @@ def test_class_counts_match_oeis():
 
 
 @pytest.mark.slow
-def test_class_count_nine_points():
+def test_class_count_nine_points(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     # with two workers the subtrees are split at 6 points, a real depth
     serial, parallel = (
         [p.canonical_form() for p in enumerate_posets(9, workers=workers)]

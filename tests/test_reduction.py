@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from finito import (
+    EmptyError,
     FinitePoset,
     FlattenBlockedError,
-    LastPointError,
     NotConnectedError,
     NotContinuousError,
     beat_points,
@@ -20,7 +20,6 @@ from finito import (
     osaki_closed_reduction,
     osaki_open_reduction,
     poset_homology,
-    remove_point,
 )
 from finito import reduction
 from finito.poset import _bits
@@ -297,15 +296,15 @@ def test_mccord_discontinuous_raises():
 
 
 def test_remove_point():
-    assert remove_point(FinitePoset.chain(3), 1) == FinitePoset.chain(2)
-    smaller = remove_point(FinitePoset.antichain(4), 2)
+    assert FinitePoset.chain(3).subposet([0, 2]) == FinitePoset.chain(2)
+    smaller = FinitePoset.antichain(4).subposet([0, 1, 3])
     assert smaller == FinitePoset.antichain(3)
-    with pytest.raises(LastPointError):
-        remove_point(FinitePoset.antichain(1), 0)
+    with pytest.raises(EmptyError):
+        FinitePoset.antichain(1).subposet([])
 
 
 def test_remove_point_keeps_counterexample_connected(osaki_x):
-    assert remove_point(osaki_x, 1).is_connected()
+    assert osaki_x.subposet([v for v in range(osaki_x.n) if v != 1]).is_connected()
 
 
 def test_epimorphism_surrogate_small(classes_upto):
@@ -318,7 +317,7 @@ def test_epimorphism_surrogate_small(classes_upto):
         for x in range(p.n):
             if p.up[x] == 1 << x or p.down[x] == 1 << x:
                 continue
-            q = remove_point(p, x)
+            q = p.subposet([v for v in range(p.n) if v != x])
             assert q.is_connected()
             assert b1(q) >= base
 
@@ -345,7 +344,7 @@ def test_flatten_rejects_a_basepoint_out_of_range():
 def test_point_arguments_out_of_range_raise():
     p = FinitePoset.chain(3)
     for x in (-1, p.n):
-        for reduce_at in (remove_point, osaki_open_reduction, osaki_closed_reduction):
+        for reduce_at in (osaki_open_reduction, osaki_closed_reduction):
             with pytest.raises(IndexError, match=f"point {x} out of range for n=3"):
                 reduce_at(p, x)
 
