@@ -50,7 +50,8 @@ class IllFormedPathError(FinitoError):
 
 class CapExceededError(FinitoError):
     """A request exceeds a fixed size limit: more than 10 points to
-    enumerate, or more chains than ``order_complex`` lists."""
+    enumerate, more than 20 circles in a wedge scan, or more chains than
+    ``order_complex`` lists."""
 
 
 class FlattenBlockedError(FinitoError):

@@ -26,6 +26,10 @@ from .poset import FinitePoset
 from .reduction import is_minimal
 
 MAX_POINTS = 10  # the largest class size that enumeration accepts
+# verify_wedge_theorem(20) takes 4-6 s in all and n = 21 alone 37-51 s (2
+# shared vCPUs): its 12-point models come from 71,997 edge sets, against at
+# most 8,176 for any n <= 20.
+MAX_WEDGE_N = 20  # the most circles verify_wedge_theorem scans
 
 # OEIS A000112: poset classes with k points, k = 0..MAX_POINTS.
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
@@ -392,11 +396,14 @@ class WedgeTheoremReport:
 
 def verify_wedge_theorem(max_n: int) -> WedgeTheoremReport:
     """Certify each class of ``enumerate_wedge_minimal_models(n)`` once, for
-    n = 1..max_n (at least 1).  A class is a violator unless its certificate
-    holds, it is connected with b1 = n and its opposite class is found too;
-    a row holds with no violator and one class exactly when n is a square."""
+    n = 1..max_n (1 <= max_n <= MAX_WEDGE_N).  A class is a violator unless
+    its certificate holds, it is connected with b1 = n and its opposite
+    class is found too; a row holds with no violator and one class exactly
+    when n is a square."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if max_n > MAX_WEDGE_N:
+        raise CapExceededError(f"max n {max_n} exceeds the wedge limit of {MAX_WEDGE_N} circles")
     report = WedgeTheoremReport()
     for n in range(1, max_n + 1):
         models = enumerate_wedge_minimal_models(n)

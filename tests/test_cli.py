@@ -439,14 +439,21 @@ def test_sphere_scan_that_loses_a_class_is_violated(capsys, monkeypatch):
     assert data["equality_classes"] == {"1": 1, "2": 1}
 
 
-def test_enumeration_limit_is_named(capsys):
-    for argv, asked in (
-        (["enumerate", "11"], "k=11"),
-        (["verify", "spheres", "--max-h", "6"], "max height 6 needs 12 points"),
+def test_enumeration_limit_is_named(capsys, monkeypatch):
+    def reached(*args):
+        raise AssertionError("the refusal comes before any work")
+
+    monkeypatch.setattr(finito.models, "enumerate_wedge_minimal_models", reached)
+    points, circles = "limit of 10 points", "limit of 20 circles"
+    for argv, asked, limit in (
+        (["enumerate", "11"], "k=11", points),
+        (["verify", "spheres", "--max-h", "6"], "max height 6 needs 12 points", points),
+        (["verify", "wedges", "--max-n", "21"], "max n 21", circles),
+        (["verify", "wedges", "--max-n", "50"], "max n 50", circles),
     ):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and asked in err and "limit of 10 points" in err
+        assert err.count("\n") == 1 and asked in err and limit in err
 
 
 def test_sphere_face_list_limit_is_named(capsys, monkeypatch):
@@ -531,8 +538,8 @@ def test_enumerate_eight_golden(capsys):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
-def test_enumerate_nine_golden_with_two_workers(capsys):
+def test_enumerate_nine_golden_with_two_workers(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     assert run(capsys, "enumerate", "9", "--json", "--workers", "2") == (0, by_filter_json(
         9, 183231, 163341, 954, (1, 2222, 52336, 86683, 35070, 6259, 623, 36, 1)), "")
 
@@ -592,8 +599,8 @@ def test_emit_labels_only_the_classes_it_prints(capsys, monkeypatch):
         assert len(calls) == printed
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
-def test_emit_with_two_workers_prints_the_same_bytes(capsys):
+def test_emit_with_two_workers_prints_the_same_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     serial, parallel = (
         run(capsys, "enumerate", "7", "--emit", "--filter", "connected", "--json",
             "--workers", workers)

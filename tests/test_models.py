@@ -341,10 +341,19 @@ def test_wedge_report_lists_a_class_whose_opposite_is_missing(monkeypatch):
     assert [r.ok for r in report.rows] == [True, False] and not report.confirmed
 
 
-def test_wedge_uniqueness_scan_needs_a_wedge():
+def test_wedge_uniqueness_scan_needs_a_wedge(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_n"):
             wedge_uniqueness_scan(bad)
+
+    def reached(n):
+        raise AssertionError("the refusal comes before any model is generated")
+
+    monkeypatch.setattr(models, "enumerate_wedge_minimal_models", reached)
+    for big in (21, 50):
+        message = f"^max n {big} exceeds the wedge limit of 20 circles$"
+        with pytest.raises(CapExceededError, match=message):
+            verify_wedge_theorem(big)
 
 
 def test_wedge_model_counts_past_the_cap():

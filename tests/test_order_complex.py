@@ -8,6 +8,7 @@ import pytest
 from finito import (
     CapExceededError,
     FinitePoset,
+    HomologySummary,
     SimplicialComplex,
     check_wedge_model,
     core,
@@ -15,6 +16,7 @@ from finito import (
     euler_characteristic,
     faces_text,
     homology,
+    nh_suspension,
     order_complex,
     poset_homology,
     sphere_model,
@@ -176,6 +178,89 @@ def rp2_faces():
     return faces
 
 
+def moore_faces(q):
+    """(vertex count, faces) of a Moore space M(Z/q, 1): a disk whose
+    3q-gon boundary v_0 v_1 ... wraps q times around the 3-cycle 0-1-2
+    (v_i = i mod 3), an inner ring u_0..u_{3q-1} and one centre vertex."""
+    m = 3 * q
+    u = [3 + i for i in range(m)]
+    centre = 3 + m
+    triangles = []
+    for i in range(m):
+        j = (i + 1) % m
+        triangles += [(i % 3, j % 3, u[i]), (j % 3, u[i], u[j]), (u[i], u[j], centre)]
+    faces = set()
+    for f in triangles:
+        for r in range(1, 4):
+            faces.update(itertools.combinations(sorted(f), r))
+    return centre + 1, faces
+
+
+def face_poset(faces):
+    """The faces ordered by inclusion; its order complex subdivides theirs."""
+    faces = sorted(faces)
+    return FinitePoset([sum(1 << j for j, g in enumerate(faces) if set(f) <= set(g))
+                        for f in faces])
+
+
+def per_degree_homology(kx):
+    """Homology read off the dense oracle's factors of every full boundary
+    matrix, each degree on its own."""
+    factors = {d: dense_invariant_factors(boundary_matrix(kx, d)) for d in range(1, kx.dim + 1)}
+    rank = {d: len(factors.get(d, ())) for d in range(kx.dim + 2)}
+    return HomologySummary(
+        tuple(kx.f_vector[d] - rank[d] - rank[d + 1] for d in range(kx.dim + 1)),
+        tuple(tuple(q for q in factors.get(d + 1, ()) if q > 1) for d in range(kx.dim + 1)),
+    )
+
+
+def moore_complexes(q, suspensions):
+    """(complex, degree of its Z/q torsion) for M(Z/q, 1) as given, through
+    its face poset, and through each of the given numbers of
+    non-Hausdorff suspensions of that face poset."""
+    n, faces = moore_faces(q)
+    yield SimplicialComplex(n, faces), 1
+    p = face_poset(faces)
+    yield order_complex(p), 1
+    for s in range(1, max(suspensions, default=0) + 1):
+        p = nh_suspension(p)
+        if s in suspensions:
+            yield order_complex(p), 1 + s
+
+
+# The dense oracle takes 7 s on the twice suspended M(Z/2, 1) and 80 s on
+# M(Z/5, 1): Tier-1 checks these suspensions of the Moore face posets, and
+# ``slow`` the rest of q = 2..5 with one or two.
+MOORE_SUSPENSIONS = {2: (1, 2), 3: (1,), 4: (), 5: ()}
+MOORE_SUSPENSIONS_SLOW = {3: (2,), 4: (1, 2), 5: (1, 2)}
+
+
+def check_moore_spaces(suspensions):
+    for q, counts in suspensions.items():
+        for kx, degree in moore_complexes(q, counts):
+            h = homology(kx)
+            assert h == per_degree_homology(kx)
+            assert h.betti == (1,) + (0,) * kx.dim
+            assert h.torsion == tuple((q,) if d == degree else () for d in range(kx.dim + 1))
+
+
+def test_homology_matches_the_dense_route_per_degree(classes_upto):
+    """Top-down homology with cleared columns equals the dense oracle run
+    on each full boundary matrix: on every class of at most 7 points, on
+    RP^2, and on Moore spaces whose Z/q torsion lies in degrees 1 to 3."""
+    for p in classes_upto(7):
+        kx = order_complex(p)
+        assert homology(kx) == per_degree_homology(kx)
+    rp2 = SimplicialComplex(6, rp2_faces())
+    assert homology(rp2) == per_degree_homology(rp2)
+    check_moore_spaces(MOORE_SUSPENSIONS)
+
+
+@pytest.mark.slow
+def test_homology_matches_the_dense_route_on_suspended_moore_spaces():
+    check_moore_spaces(MOORE_SUSPENSIONS_SLOW)
+
+
 def test_homology_projective_plane_torsion():
     h = homology(SimplicialComplex(6, rp2_faces()))
     assert h.betti == (1, 0, 0)
@@ -296,6 +381,20 @@ def test_eliminate_unit_pivots_known():
     assert columns == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
+def test_unit_rows_names_the_rows_paired_before_any_row_operation():
+    """Matrices of +-1 entries report one row per unit factor; the unit of
+    [[2], [3]] appears only after row 1 -= row 0, so no row is reported."""
+    for columns, factors, named in [
+        ([{2: 1}, {0: -1}, {1: 1}], [1, 1, 1], 3),  # a signed permutation
+        ([{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 2], 1),  # elimination leaves -2
+        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}], [1, 1], 2),  # the triangle's boundary
+        ([{0: 2, 1: 3}], [1], 0),
+    ]:
+        rows = set()
+        assert smith_invariant_factors(columns, rows) == factors
+        assert len(rows) == named and rows <= {i for col in columns for i in col}
+
+
 def test_smith_divisibility_chain():
     import random
 
@@ -329,6 +428,9 @@ def test_kernel_matches_dense_oracle_on_random_matrices():
         dense = [[col.get(i, 0) for col in columns] for i in range(m)]
         factors = smith_invariant_factors(columns)
         assert factors == dense_invariant_factors(dense), dense
+        rows = set()
+        assert smith_invariant_factors(columns, rows) == factors
+        assert len(rows) <= factors.count(1) and rows <= set(range(m))
         assert columns == before
         torsion += any(d > 1 for d in factors)
     assert torsion > 2500
