@@ -290,13 +290,21 @@ class FinitePoset:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction, the Hasse diagram: the pairs (x, y) with
-        x < y and nothing strictly between, sorted."""
-        covers = []
+        x < y and nothing strictly between, sorted.
+
+        The covers of x are the minimal points of its strict up-set, peeled
+        one at a time: descend from any point left to a minimal one, then
+        drop everything above it."""
+        up, down, covers = self.up, self.down, []
         for x in range(self.n):
-            strict = self.up[x] & ~(1 << x)
-            for y in _bits(strict):
-                if not strict & (self.down[y] & ~(1 << y)):
-                    covers.append((x, y))
+            rest, above = up[x] & ~(1 << x), []
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                while below := down[y] & rest & ~(1 << y):
+                    y = (below & -below).bit_length() - 1
+                above.append(y)
+                rest &= ~up[y]
+            covers += ((x, y) for y in sorted(above))
         return tuple(covers)
 
     # -- canonical form ----------------------------------------------------

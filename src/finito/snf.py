@@ -16,9 +16,7 @@ import heapq
 from math import gcd
 
 
-def smith_invariant_factors(
-    columns: list[dict[int, int]], unit_rows: set[int] | None = None
-) -> list[int]:
+def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of a sparse integer matrix.
 
     ``columns[j]`` maps row indices to the nonzero entries of column j; the
@@ -32,16 +30,6 @@ def smith_invariant_factors(
     an entry of its column or row, one row or column operation replaces
     that entry by its remainder, which lowers the least absolute value, so
     the elimination ends.
-
-    If a set ``unit_rows`` is given, the row of each unit pivot eliminated
-    before the least-absolute-value phase first runs is added to it; the
-    factors are the same with or without it.  Until then only column
-    operations change the matrix, so each row is still the row of the
-    matrix as given, and each eliminated column is an integer combination
-    of the given columns whose entry in its pivot row is +-1 and whose
-    entries in the rows eliminated before it are 0.  The row operations of
-    that phase change the row basis, so no later pivot row names a row of
-    the matrix as given, and recording stops.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: dict[int, set[int]] = {}
@@ -65,7 +53,6 @@ def smith_invariant_factors(
             if r is None:
                 continue  # pushed again if an elimination changes it
         else:  # no unit is left, and every changed column is pushed again
-            unit_rows = None  # row operations may follow
             _, r, c = min((abs(v), i, j) for j, col in cols.items() for i, v in col.items())
             pivot = cols[c]
             v = pivot[r]
@@ -116,8 +103,6 @@ def smith_invariant_factors(
                 del cols[j]
         if v in (1, -1):
             units += 1
-            if unit_rows is not None:
-                unit_rows.add(r)
         else:
             factors.append(abs(v))
     # enforce the divisibility chain d1 | d2 | ... on the factors above 1

@@ -654,6 +654,19 @@ def test_homology_beyond_the_chain_limit_is_one_line(cli_env, tmp_path):
             )
 
 
+@pytest.mark.slow
+def test_homology_just_under_the_chain_limit(capsys, tmp_path):
+    # 5 layers of 11 points, each above the whole layer below: its own core,
+    # with 12^5 - 1 = 248,831 chains, and a wedge of 10^5 3-spheres
+    path = tmp_path / "layers.poset"
+    path.write_text("".join(
+        f"p{l}_{i} < p{l + 1}_{j}\n" for l in range(4) for i in range(11) for j in range(11)
+    ))
+    code, out, _ = run(capsys, "homology", "--json", str(path))
+    assert code == 0
+    assert json.loads(out) == {"betti": [1, 0, 0, 0, 100000], "torsion": [[]] * 5}
+
+
 def test_installed_pipeline(cli_env):
     """Runs the console-script entry point ``finito.cli:main`` through ``-m``."""
     finito = [sys.executable, "-m", "finito"]

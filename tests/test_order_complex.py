@@ -21,7 +21,7 @@ from finito import (
     poset_homology,
     sphere_model,
 )
-from finito.order_complex import _chain_counts, boundary_matrix
+from finito.order_complex import _chain_counts, _morse_matching, boundary_matrix
 from finito.snf import matrix_rank, smith_invariant_factors
 from dense_snf import smith_invariant_factors as dense_invariant_factors
 from dense_snf import xgcd
@@ -245,7 +245,7 @@ def check_moore_spaces(suspensions):
 
 
 def test_homology_matches_the_dense_route_per_degree(classes_upto):
-    """Top-down homology with cleared columns equals the dense oracle run
+    """Homology on the Morse complex equals the dense oracle run
     on each full boundary matrix: on every class of at most 7 points, on
     RP^2, and on Moore spaces whose Z/q torsion lies in degrees 1 to 3."""
     for p in classes_upto(7):
@@ -259,6 +259,99 @@ def test_homology_matches_the_dense_route_per_degree(classes_upto):
 @pytest.mark.slow
 def test_homology_matches_the_dense_route_on_suspended_moore_spaces():
     check_moore_spaces(MOORE_SUSPENSIONS_SLOW)
+
+
+def check_matching(kx):
+    """The critical faces per degree of the matching on kx, after checking
+    that it pairs each face at most once, with a face one vertex larger or
+    smaller, and that it is acyclic: with the matched edges of the face
+    diagram (each face above its facets) turned upward, a Kahn sort reaches
+    every face."""
+    faces = kx.faces
+    position = {f: i for i, f in enumerate(faces)}
+    index, mate, critical = _morse_matching(kx)
+    assert index == position
+    assert [i for cs in critical for i in cs] == [i for i, j in enumerate(mate) if i == j]
+    assert len(critical) == len(kx.f_vector)
+    assert all(len(faces[i]) == d + 1 for d, cs in enumerate(critical) for i in cs)
+    for i, j in enumerate(mate):
+        assert mate[j] == i
+        small, big = sorted((set(faces[i]), set(faces[j])), key=len)
+        assert i == j or (len(big) == len(small) + 1 and small < big)
+    below = [[] for _ in faces]  # below[s]: the faces an edge leaves s for
+    for s, f in enumerate(faces):
+        for t in (position[f[:j] + f[j + 1 :]] for j in range(len(f)) if len(f) > 1):
+            if mate[s] == t:
+                below[t].append(s)
+            else:
+                below[s].append(t)
+    indegree = [0] * len(faces)
+    for ts in below:
+        for t in ts:
+            indegree[t] += 1
+    ready = [s for s, d in enumerate(indegree) if d == 0]
+    for s in ready:
+        for t in below[s]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    assert len(ready) == len(faces), "the matched face diagram has a cycle"
+    return [[faces[i] for i in cs] for cs in critical]
+
+
+def test_matching_is_acyclic(classes_upto):
+    """On every class of at most 6 points, as built and with its points
+    shuffled, on RP^2 and on Moore spaces as given and through face posets."""
+    rng = random.Random(28)
+    for p in classes_upto(6):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for q in (p, p.relabel(perm)):
+            critical = check_matching(order_complex(q))
+            assert sum(map(len, critical)) >= sum(homology(order_complex(q)).betti)
+    check_matching(SimplicialComplex(6, rp2_faces()))
+    for q in (2, 3):
+        for kx, _ in moore_complexes(q, (1,) if q == 2 else ()):
+            check_matching(kx)
+
+
+def test_sphere_models_leave_two_critical_faces():
+    for n in range(1, 7):
+        critical = check_matching(order_complex(sphere_model(n)))
+        assert list(map(len, critical)) == [1] + [0] * (n - 1) + [1]
+
+
+def test_layers_are_read_off_the_critical_faces(monkeypatch):
+    """6 layers of 6 points, each above the whole layer below: 15,626 of the
+    117,648 chains are critical, all in degrees 0 and 5, so no Smith normal
+    form is needed."""
+    n = 36
+    up = [sum(1 << y for y in range(n) if y == x or y // 6 > x // 6) for x in range(n)]
+    kx = order_complex(FinitePoset(up))
+    assert len(kx.faces) == 117_648
+    critical = _morse_matching(kx)[2]
+    assert list(map(len, critical)) == [1, 0, 0, 0, 0, 15_625]
+
+    def refuse(columns):
+        raise AssertionError("no Smith normal form is needed here")
+
+    monkeypatch.setattr(importlib.import_module("finito.order_complex"),
+                        "smith_invariant_factors", refuse)
+    h = homology(kx)
+    assert h.betti == (1, 0, 0, 0, 0, 15_625) and h.torsion == ((),) * 6
+
+
+def test_long_gradient_path_needs_no_recursion():
+    """A fence of 2,000 lower and 2,000 upper points closed into a circle:
+    the critical edge's Morse boundary follows one gradient path through
+    nearly all 8,000 faces, far past the recursion limit."""
+    m = 2000
+    covers = [(j, m + j) for j in range(m)] + [((j + 1) % m, m + j) for j in range(m)]
+    kx = order_complex(FinitePoset.from_cover_pairs(2 * m, covers))
+    assert len(kx.faces) == 8000
+    assert _morse_matching(kx)[2] == [[0], [kx.faces.index((m - 1, 2 * m - 1))]]
+    h = homology(kx)
+    assert h.betti == (1, 1) and h.torsion == ((), ())
 
 
 def test_homology_projective_plane_torsion():
@@ -381,20 +474,6 @@ def test_eliminate_unit_pivots_known():
     assert columns == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
-def test_unit_rows_names_the_rows_paired_before_any_row_operation():
-    """Matrices of +-1 entries report one row per unit factor; the unit of
-    [[2], [3]] appears only after row 1 -= row 0, so no row is reported."""
-    for columns, factors, named in [
-        ([{2: 1}, {0: -1}, {1: 1}], [1, 1, 1], 3),  # a signed permutation
-        ([{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 2], 1),  # elimination leaves -2
-        ([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}], [1, 1], 2),  # the triangle's boundary
-        ([{0: 2, 1: 3}], [1], 0),
-    ]:
-        rows = set()
-        assert smith_invariant_factors(columns, rows) == factors
-        assert len(rows) == named and rows <= {i for col in columns for i in col}
-
-
 def test_smith_divisibility_chain():
     import random
 
@@ -428,9 +507,6 @@ def test_kernel_matches_dense_oracle_on_random_matrices():
         dense = [[col.get(i, 0) for col in columns] for i in range(m)]
         factors = smith_invariant_factors(columns)
         assert factors == dense_invariant_factors(dense), dense
-        rows = set()
-        assert smith_invariant_factors(columns, rows) == factors
-        assert len(rows) <= factors.count(1) and rows <= set(range(m))
         assert columns == before
         torsion += any(d > 1 for d in factors)
     assert torsion > 2500

@@ -114,6 +114,23 @@ def test_hasse_matches_brute_reduction(ss0, ex4, classes_upto):
     assert FinitePoset.antichain(5).covers == ()
 
 
+def test_covers_equal_the_cover_test_on_shuffled_classes(classes_upto):
+    """``covers`` peels the minimal points of each strict up-set; it equals
+    the direct test (y above x, and no point strictly between) on every
+    class of at most 7 points, as built and with its points shuffled."""
+    rng = random.Random(7)
+    for p in classes_upto(7):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for q in (p, p.relabel(perm)):
+            strict = [q.up[x] & ~(1 << x) for x in range(q.n)]
+            want = tuple(
+                (x, y) for x in range(q.n) for y in range(q.n)
+                if strict[x] >> y & 1 and not strict[x] & q.down[y] & ~(1 << y)
+            )
+            assert q.covers == want
+
+
 def test_hasse_round_trip_enumerated(classes_upto):
     for p in classes_upto(5):
         q = FinitePoset.from_cover_pairs(p.n, p.covers)
