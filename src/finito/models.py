@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError
 from .order_complex import poset_homology
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits, _twin_cell
 from .reduction import is_minimal
 
 MAX_POINTS = 10  # the largest class size that enumeration accepts
@@ -43,7 +43,10 @@ def nh_suspension(p: FinitePoset) -> FinitePoset:
     n = p.n
     two = (1 << n) | (1 << (n + 1))
     up = [row | two for row in p.up] + [1 << n, 1 << (n + 1)]
-    return FinitePoset._trusted(up)
+    q = FinitePoset._trusted(up)
+    every = (1 << n) - 1
+    q.down = p.down + (every | 1 << n, every | 1 << (n + 1))
+    return q
 
 
 def sphere_model(n: int) -> FinitePoset:
@@ -118,15 +121,41 @@ def check_wedge_model(p: FinitePoset, n: int) -> WedgeModelCertificate:
 
 def _orbit(mask: int, generators: list[tuple[int, ...]]) -> set[int]:
     """The orbit of a point set, as masks, under the group the generators
-    (each a tuple g taking point x to g[x]) generate."""
+    (each a tuple g taking point x to g[x]) generate; each image is taken
+    through the set's own points, so a point's orbit follows g[x] alone."""
     orbit, frontier = {mask}, [mask]
     for m in frontier:
         for g in generators:
-            image = sum(1 << y for x, y in enumerate(g) if (m >> x) & 1)
+            image = 0
+            for x in _bits(m):
+                image |= 1 << g[x]
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
     return orbit
+
+
+def _accepts_tie(child: FinitePoset) -> bool:
+    """Whether the child's new point t, its last, is in the Aut(child)
+    orbit of ``_canon_last``, decided from its refined partition where that
+    can: the labelling's last point lies in the last cell L, and every
+    automorphism maps L onto itself.  So t outside L is rejected, and t in
+    L is accepted when L is one point or a twin cell (one orbit, as each
+    transposition inside it is an automorphism).  Refinement never splits a
+    twin cell, so when the points of t's key already form one, that is L
+    and nothing is refined.  Only otherwise is the child labelled and the
+    orbit of its last point followed."""
+    t, up, down, levels = child.n - 1, child.up, child.down, child.levels
+    key = (levels[t], down[t].bit_count())
+    if _twin_cell(up, down, [v for v in range(t + 1) if (levels[v], down[v].bit_count()) == key]):
+        return True
+    last = child._cells[-1]
+    if t not in last:
+        return False
+    if _twin_cell(up, down, last):
+        return True
+    child._label()
+    return 1 << t in _orbit(1 << child._canon_last, child._aut)
 
 
 def _children(parent: FinitePoset) -> list[FinitePoset]:
@@ -140,11 +169,13 @@ def _children(parent: FinitePoset) -> list[FinitePoset]:
     A t of key below the parent's largest is rejected unlabelled; of the
     others, one ideal per Aut(parent) orbit is tried.  A t of larger key is
     the child's last point, so the child is accepted unlabelled.  On a tie
-    the child is labelled once and accepted iff t is in the orbit of its
-    last point.  No two accepted children are isomorphic: an isomorphism
-    times an automorphism of the second child fixes t, so it restricts to
-    an automorphism of the parent joining the two ideals.  The parent is
-    labelled unless it already was."""
+    the child is accepted iff t is in the orbit of its last point, which
+    ``_accepts_tie`` settles from the child's refined partition and labels
+    the child only for the ties that partition leaves open.  No two
+    accepted children are isomorphic: an isomorphism times an automorphism
+    of the second child fixes t, so it restricts to an automorphism of the
+    parent joining the two ideals.  The parent is labelled unless it
+    already was."""
     rows, down, levels, n = parent.up, parent.down, parent.levels, parent.n
     if parent._aut is None:
         parent._label()
@@ -165,10 +196,8 @@ def _children(parent: FinitePoset) -> list[FinitePoset]:
             [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
         child.__dict__["down"] = down + (ideal | top,)
         child.__dict__["levels"] = levels + (key[0],)
-        if key == best:
-            child._label()
-            if top not in _orbit(1 << child._canon_last, child._aut):
-                continue
+        if key == best and not _accepts_tie(child):
+            continue
         accepted.append(child)
     return accepted
 

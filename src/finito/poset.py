@@ -2,9 +2,11 @@
 
 The order relation is stored as bit-rows: ``up[x]`` is the bitmask of all
 ``y`` with ``x <= y`` (including ``x`` itself).  The order never changes
-after construction; ``down``, ``levels``, ``covers``, ``_canon`` and
-``_aut`` are filled in once, lazily, and ``models._children`` sets a
-child's ``down`` and ``levels`` itself.
+after construction; ``down``, ``levels``, ``covers``, ``_cells`` (until
+labelled), ``_canon`` and ``_aut`` are filled in once, lazily.  ``down`` is
+never transposed from ``up`` where it is known on construction:
+``from_cover_pairs`` closes it beside ``up``, and ``opposite``,
+``models.nh_suspension`` and ``models._children`` set it themselves.
 
 A cover relation from outside is checked in one place,
 ``FinitePoset.from_cover_pairs``; ``FinitePoset.covers`` gives the cover
@@ -141,13 +143,20 @@ class FinitePoset:
                 raise CycleError(f"self-loop at {x}")
         labels = _checked_labels(labels, n)
         up = [1 << x for x in range(n)]
+        down = list(up)
         above = [[] for _ in range(n)]
         for x, y in pairs:
             above[x].append(y)
-        for x in reversed(_toposort(n, pairs)):
+        order = _toposort(n, pairs)
+        for x in reversed(order):
             for y in above[x]:
                 up[x] |= up[y]
-        return cls._trusted(up, labels)
+        for x in order:
+            for y in above[x]:
+                down[y] |= down[x]
+        p = cls._trusted(up, labels)
+        p.down = tuple(down)  # fills the cached property, which has no setter
+        return p
 
     @classmethod
     def chain(cls, k: int) -> "FinitePoset":
@@ -200,6 +209,18 @@ class FinitePoset:
             if below:
                 level[x] = 1 + max(level[y] for y in _bits(below))
         return tuple(level)
+
+    @cached_property
+    def _cells(self) -> list[list[int]]:
+        """The refined partition that labelling starts from: the cells of
+        equal (level, |down|, |up|), in key order, split by ``_refine``.
+        Refinement commutes with isomorphism, so every automorphism maps
+        each cell onto itself.  Dropped once the poset is labelled."""
+        initial = {}
+        for v in range(self.n):
+            key = (self.levels[v], self.down[v].bit_count(), self.up[v].bit_count())
+            initial.setdefault(key, []).append(v)
+        return _refine(self.up, self.down, [initial[k] for k in sorted(initial)])
 
     @cached_property
     def height(self) -> int:
@@ -313,12 +334,14 @@ class FinitePoset:
         """Isomorphism-class fingerprint, the canonical code: equal codes iff
         order-isomorphic.
 
-        Partition refinement on (level, out/in degree) invariants, then
-        backtracking over the remaining cell choices, keeping the
-        lexicographically least strict-order encoding.  Labelings are
-        always linear extensions (cells are ordered by level), so only the
-        strictly-upper-triangular bits are encoded.  The automorphism
-        generators the same search finds are kept as ``_aut``.
+        Partition refinement on (level, out/in degree) invariants, kept as
+        ``_cells``, then backtracking over the remaining cell choices,
+        keeping the lexicographically least strict-order encoding.
+        Labelings are always linear extensions (cells are ordered by
+        level), so only the strictly-upper-triangular bits are encoded.
+        The automorphism generators the same search finds are kept as
+        ``_aut``.  Enumeration settles most tie children from ``_cells``
+        alone and labels only the rest.
         """
         if self._canon is None:
             self._label()
@@ -328,6 +351,7 @@ class FinitePoset:
         """Set ``_canon``, ``_canon_last`` and ``_aut`` from one labelling
         search, so enumeration labels each class at most once."""
         enc, self._canon_last, self._aut = _canonical_encoding(self)
+        self.__dict__.pop("_cells", None)  # not held for as long as the class is
         nbytes = (self.n * (self.n - 1) // 2 + 7) // 8
         self._canon = self.n.to_bytes(2, "big") + enc.to_bytes(max(nbytes, 1), "big")
 
@@ -432,9 +456,12 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int, list[tuple[int, ...]]
     that labelling puts last, and generators of Aut(p), each a tuple g
     mapping point x to g[x].
 
-    Initial cells are sorted by (level, |down|, |up|) and ``_refine`` splits
-    cells in place, so the last point always comes from the last initial
-    cell: a maximal point with the largest (level, |down|).
+    The search starts from ``p._cells``, the refined partition that
+    enumeration's tie test reads too, and cells are only ever split in
+    place, so the last point comes from the last of those cells: a maximal
+    point with the largest (level, |down|).  A twin cell is split into
+    singletons with no refinement: every point outside it is related to
+    all of it or to none, so the partition stays equitable.
 
     Labellings are linear extensions, so two leaves with equal encodings
     give equal relabelled orders, and the map from the least leaf to each
@@ -445,11 +472,6 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int, list[tuple[int, ...]]
     path is the choice of some least leaf.
     """
     up, down, n = p.up, p.down, p.n
-    initial = {}
-    for v in range(n):
-        key = (p.levels[v], down[v].bit_count(), up[v].bit_count())
-        initial.setdefault(key, []).append(v)
-    cells = _refine(up, down, [initial[k] for k in sorted(initial)])
     best: list = [None, []]  # least encoding, the leaf orders that reach it
     twins = set()
 
@@ -475,15 +497,14 @@ def _canonical_encoding(p: FinitePoset) -> tuple[int, int, list[tuple[int, ...]]
             return
         if _twin_cell(up, down, cell):
             twins.update(zip(cell, cell[1:]))
-            split = cells[:idx] + [[v] for v in cell] + cells[idx + 1 :]
-            search(_refine(up, down, split))
+            search(cells[:idx] + [[v] for v in cell] + cells[idx + 1 :])
             return
         for v in cell:
             rest = [w for w in cell if w != v]
             split = cells[:idx] + [[v], rest] + cells[idx + 1 :]
             search(_refine(up, down, split))
 
-    search(cells)
+    search(p._cells)
     enc, (first, *others) = best
     generators = [tuple(y for _, y in sorted(zip(first, order))) for order in others]
     for x, y in twins:

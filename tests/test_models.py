@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from extension_oracle import ideal_masks, oracle_codes
-from labelled_children import labelled_children
+from labelled_children import labelled_children, orbit_children
 from wedge_oracle import wedge_models_by_enumeration
 
 from finito import (
@@ -30,7 +30,7 @@ from finito import (
 )
 from finito import models, poset
 from finito.models import MAX_POINTS, is_square
-from finito.poset import _canonical_encoding
+from finito.poset import _bits, _canonical_encoding, _twin_cell
 
 # OEIS A000112: poset classes with k points, k = 0..10.
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
@@ -272,8 +272,27 @@ def test_sphere_walk_labels_no_poset_twice(monkeypatch, h):
     assert verify_sphere_theorem(h).confirmed
     assert max(Counter(map(id, calls)).values()) == 1
     # the walk that also labelled each tie child less its last point, and
-    # each tie child again as a parent, made 236 and 9,281 calls
-    assert len(calls) < {3: 236, 4: 9281}[h]
+    # each tie child again as a parent, made 236 and 9,281 calls; the one
+    # that labelled every tie child, 181 and 6,734
+    assert len(calls) == {3: 108, 4: 2960}[h]
+
+
+def test_enumeration_labels_each_walked_class_once(monkeypatch):
+    # a tie child is labelled only when its refined partition cannot settle
+    # it, and at 8 points each one so labelled is a class the walk keeps
+    calls, walked = [], []
+    encoding, walk = poset._canonical_encoding, models._walk
+    monkeypatch.setattr(poset, "_canonical_encoding", lambda p: calls.append(p) or encoding(p))
+
+    def recorded(k, p=None):
+        for q in walk(k, p):
+            walked.append(q)
+            yield q
+
+    monkeypatch.setattr(models, "_walk", recorded)
+    assert sum(1 for _ in enumerate_posets(8)) == A000112[8]
+    assert len(walked) == sum(A000112[1:9]) == 19449
+    assert sorted(map(id, calls)) == sorted(map(id, walked))
 
 
 def test_sphere_report_fails_a_height_without_its_class():
@@ -512,6 +531,92 @@ def test_orbit_accepted_children_match_labelled_ones():
         accepted = Counter(c.canonical_form() for c in models._children(parent))
         labelled = Counter(c.canonical_form() for c in labelled_children(parent))
         assert accepted == labelled
+
+
+def relabelled_along_an_extension(p, rng):
+    """A copy of p with no labelling, its points put in a random linear
+    extension, so its rows stay upper triangular as ``_children`` needs."""
+    order, left = [], (1 << p.n) - 1
+    while left:
+        x = rng.choice([x for x in _bits(left) if not p.down[x] & left & ~(1 << x)])
+        order.append(x)
+        left &= ~(1 << x)
+    return p.relabel(order)
+
+
+def point_orbit(x, generators):
+    orbit = {x}
+    while (grown := orbit | {g[y] for g in generators for y in orbit}) != orbit:
+        orbit = grown
+    return orbit
+
+
+def test_tie_rule_matches_the_labelling(monkeypatch):
+    """Every tie child of every class of at most 7 points, as built and from
+    the parent relabelled along a random linear extension: the verdict from
+    the refined partition is the labelling's (t in the Aut(child) orbit of
+    the point it puts last), and only the fourth branch labels."""
+    rng = random.Random(17)
+    parents = list(models._walk(7))
+    ties, accepts = [], models._accepts_tie
+
+    def recorded(child):
+        ties.append((child, accepts(child)))
+        return ties[-1][1]
+
+    monkeypatch.setattr(models, "_accepts_tie", recorded)
+    for parent in parents:
+        models._children(parent)
+        models._children(relabelled_along_an_extension(parent, rng))
+    branches = Counter()
+    for child, verdict in ties:
+        t, last = child.n - 1, child._cells[-1]
+        branch = ("outside" if t not in last else "alone" if len(last) == 1
+                  else "twin" if _twin_cell(child.up, child.down, last) else "search")
+        branches[branch] += 1
+        assert (child._aut is not None) == (branch == "search")
+        _, canon_last, generators = _canonical_encoding(child)
+        assert verdict == (t in point_orbit(canon_last, generators))
+    assert set(branches) == {"outside", "alone", "twin", "search"}
+
+
+def test_children_match_the_orbit_oracle_row_for_row():
+    # the same children in the same order as when every tie child was labelled
+    for parent in models._walk(7):
+        assert [c.up for c in models._children(parent)] == [c.up for c in orbit_children(parent)]
+
+
+@pytest.mark.slow
+def test_children_of_eight_points_match_the_orbit_oracle_row_for_row():
+    for parent in models._walk(8):
+        if parent.n == 8:
+            assert ([c.up for c in models._children(parent)]
+                    == [c.up for c in orbit_children(parent)])
+
+
+def test_a_twin_cell_split_needs_no_refinement(classes_upto, monkeypatch):
+    """The search splits a twin cell into singletons and does not refine:
+    each partition it refines to, with each twin cell it meets there split in
+    turn, is left as it is by ``_refine``, on every class of at most 7
+    points as built and shuffled."""
+    refined, refine = [], poset._refine
+    monkeypatch.setattr(poset, "_refine", lambda up, down, cells: refined.append(
+        (up, down, refine(up, down, cells))) or refined[-1][2])
+    rng = random.Random(19)
+    for p in classes_upto(7):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for q in (FinitePoset._trusted(p.up), p.relabel(perm)):
+            q.canonical_form()
+    met = 0
+    for up, down, cells in refined:
+        while (idx := next((i for i, c in enumerate(cells) if len(c) > 1), None)) is not None:
+            if not _twin_cell(up, down, cells[idx]):
+                break
+            cells = cells[:idx] + [[v] for v in cells[idx]] + cells[idx + 1:]
+            assert refine(up, down, cells) == cells
+            met += 1
+    assert met > 1000
 
 
 def test_each_class_has_one_canonical_parent():

@@ -131,6 +131,21 @@ def test_covers_equal_the_cover_test_on_shuffled_classes(classes_upto):
             assert q.covers == want
 
 
+def test_down_is_the_transpose_of_up(classes_upto):
+    """``from_cover_pairs`` and ``nh_suspension`` set ``down`` beside ``up``;
+    it is the transposed relation on every class of at most 7 points, built
+    from its covers with its points shuffled, and on its suspension."""
+    rng = random.Random(11)
+    for p in classes_upto(7):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        q = FinitePoset.from_cover_pairs(p.n, p.relabel(perm).covers)
+        for r in (q, nh_suspension(q)):
+            assert "down" in r.__dict__
+            assert r.down == tuple(sum(1 << x for x in range(r.n) if r.up[x] >> y & 1)
+                                   for y in range(r.n))
+
+
 def test_hasse_round_trip_enumerated(classes_upto):
     for p in classes_upto(5):
         q = FinitePoset.from_cover_pairs(p.n, p.covers)
