@@ -31,7 +31,7 @@ from .models import (
     verify_sphere_theorem,
     verify_wedge_theorem,
 )
-from .order_complex import poset_homology
+from .order_complex import _chain_levels, _face_lines, poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
 from .poset import FinitePoset
 from .reduction import (
@@ -256,7 +256,12 @@ def cmd_sphere(args) -> int:
     if args.json and args.format in ("dot", "faces"):
         raise ValueError(f"--json cannot be combined with --format {args.format}")
     fmt = "json" if args.json else args.format
-    print(emit(sphere_model(args.n), fmt), end="")
+    p = sphere_model(args.n)
+    if fmt == "faces":  # the text of emit(p, "faces"), one dimension at a time
+        for level in _chain_levels(p):
+            print(_face_lines(level), end="")
+    else:
+        print(emit(p, fmt), end="")
     return 0
 
 

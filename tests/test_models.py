@@ -644,3 +644,33 @@ def test_pseudo_similar_points_give_one_class():
              and sorted(zip(q.levels, map(int.bit_count, q.down))) == sorted(keys)
              and q.is_homeomorphic(p)]
     assert len(built) == 1
+
+
+def frucht_incidence_poset(last_edge):
+    """The 12 vertices of the Frucht graph (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2])
+    below its 18 edges, the edges numbered 12..29 in order with
+    ``last_edge`` moved to the end."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = sorted({tuple(sorted((i, (i + s) % 12))) for i in range(12) for s in (1, lcf[i])})
+    edges.append(edges.pop(last_edge))
+    return FinitePoset.from_cover_pairs(
+        30, [(v, 12 + e) for e, edge in enumerate(edges) for v in edge])
+
+
+def test_a_rigid_last_cell_is_settled_by_the_search():
+    """The Frucht graph is cubic with no automorphism but the identity, so
+    refinement leaves its 18 edges in one last cell that is no twin cell:
+    the tie of each edge as the new point reaches the labelling, and only
+    the edge the labelling puts last is accepted."""
+    verdicts = []
+    for e in range(18):
+        child = frucht_incidence_poset(e)
+        assert sorted(child._cells[-1]) == list(range(12, 30))
+        assert not _twin_cell(child.up, child.down, child._cells[-1])
+        verdicts.append(models._accepts_tie(child))
+        assert child._aut is not None  # labelled: the search decided
+        fresh = frucht_incidence_poset(e)
+        fresh._label()
+        assert fresh._aut == []
+        assert verdicts[-1] == (1 << 29 in models._orbit(1 << fresh._canon_last, fresh._aut))
+    assert verdicts.count(True) == 1

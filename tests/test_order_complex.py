@@ -21,10 +21,13 @@ from finito import (
     poset_homology,
     sphere_model,
 )
-from finito.order_complex import _chain_counts, _morse_matching, boundary_matrix
+from finito.order_complex import _chain_totals, _morse_matching, boundary_matrix
 from finito.snf import matrix_rank, smith_invariant_factors
 from dense_snf import smith_invariant_factors as dense_invariant_factors
 from dense_snf import xgcd
+from chain_counts import chain_counts
+from test_differential import random_posets
+from test_poset import brute_chains
 from int_row_span import IntRowSpan
 
 
@@ -114,11 +117,53 @@ def test_euler_matches_mobius_oracle(classes_upto):
 def test_euler_chain_sum_matches_f_vector(classes_upto):
     for p in classes_upto(6):
         kx = order_complex(p)
-        assert _chain_counts(p) == list(kx.f_vector)
+        assert chain_counts(p) == list(kx.f_vector)
         alt = sum((-1) ** d * c for d, c in enumerate(kx.f_vector))
         assert euler_characteristic(p) == alt
     # 2^160 - 1 chains, counted by length as binomial coefficients
-    assert _chain_counts(FinitePoset.chain(160)) == [math.comb(160, d + 1) for d in range(160)]
+    assert chain_counts(FinitePoset.chain(160)) == [math.comb(160, d + 1) for d in range(160)]
+
+
+def test_chain_totals_match_the_counts_by_length(classes_upto):
+    """One count and one signed count per point give the chain total and
+    the Euler characteristic of the counts by length."""
+    posets = list(classes_upto(7)) + [p for p, _ in random_posets(seed=20061106, count=300)]
+    for p in posets + [FinitePoset.chain(160), sphere_model(40)]:
+        f = chain_counts(p)
+        assert _chain_totals(p) == (sum(f), sum((-1) ** d * c for d, c in enumerate(f)))
+
+
+def brute_faces(p):
+    """``brute_chains`` as faces: index-sorted, by length, then in order."""
+    return sorted((tuple(sorted(c)) for c in brute_chains(p)), key=lambda f: (len(f), f))
+
+
+def test_faces_are_the_chains_in_canonical_order(classes_upto):
+    """The faces listed level by level are every chain once, in the order
+    of ``SimplicialComplex.faces``, as built and shuffled."""
+    rng = random.Random(32)
+    for p in classes_upto(7):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for q in (p, p.relabel(perm)):
+            assert list(order_complex(q).faces) == brute_faces(q)
+    check_random_orders(40)
+
+
+@pytest.mark.slow
+def test_faces_are_the_chains_on_every_seeded_random_order():
+    check_random_orders(300)
+
+
+def check_random_orders(count):
+    """The first ``count`` seeded random orders of ``test_differential``, as
+    built and relabelled: faces against ``brute_chains``, f-vector against
+    the counts by length."""
+    for p, perm in random_posets(seed=20061106, count=count):
+        for q in (p, p.relabel(perm)):
+            kx = order_complex(q)
+            assert list(kx.faces) == brute_faces(q)
+            assert kx.f_vector == tuple(chain_counts(q)) and kx.dim == q.height - 1
 
 
 def test_f_vector_examples(ss0):
@@ -406,6 +451,26 @@ def test_every_route_to_the_chains_refuses_beyond_the_limit(monkeypatch):
         "poset_homology": (1, 0, 1),
         "check_wedge_model": 0,
     }
+
+
+def test_the_refusal_lists_no_chain(monkeypatch):
+    """Beyond the limit every route refuses on the count alone: with the
+    listing patched to fail when entered, each still raises the refusal."""
+    module = importlib.import_module("finito.order_complex")  # the name is the function
+
+    def listed(p):
+        raise AssertionError("a chain was listed")
+        yield
+
+    monkeypatch.setattr(module, "_cliques", listed)
+    monkeypatch.setattr(module, "MAX_CHAINS", 25)
+    s2 = sphere_model(2)  # 26 chains
+    for route in (order_complex, poset_homology, lambda p: emit(p, "faces"),
+                  lambda p: list(module._chain_levels(p))):
+        with pytest.raises(CapExceededError, match="has 26 chains, beyond the limit of 25$"):
+            route(s2)
+    with pytest.raises(AssertionError, match="a chain was listed"):
+        order_complex(sphere_model(1))  # 8 chains: the patched listing is reached
 
 
 def test_poset_homology_of_projective_plane_face_poset():
