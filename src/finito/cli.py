@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .models import (
     verify_sphere_theorem,
     verify_wedge_theorem,
 )
-from .order_complex import _chain_levels, _face_lines, poset_homology
+from .order_complex import MAX_CHAINS, _chain_levels, _face_lines, poset_homology
 from .pi1 import edge_path_presentation, free_rank, presentation_text, tietze_simplify
 from .poset import FinitePoset
 from .reduction import (
@@ -246,7 +247,8 @@ def cmd_mccord(args) -> int:
     return 0 if report.ok else 1
 
 
-MAX_FACES_DIM = 10  # the largest N whose face list ``sphere`` prints
+# the largest N whose face list ``sphere`` prints: S^N's model has 3^(N+1) - 1 chains
+MAX_FACES_DIM = next(n for n in itertools.count() if 3 ** (n + 2) - 1 > MAX_CHAINS)
 
 
 def cmd_sphere(args) -> int:

@@ -15,8 +15,8 @@ import re
 import warnings
 
 from .errors import DuplicateCoverError, ParseError
-from .order_complex import faces_text, order_complex
-from .poset import FinitePoset
+from .order_complex import _chain_levels, _face_lines
+from .poset import FinitePoset, _check_point
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+")
 
@@ -94,7 +94,10 @@ def _emittable_label(p: FinitePoset, x: int) -> str:
 
 def emit(p: FinitePoset, format: str = "poset", base: int | None = None) -> str:
     """Render a poset as text: poset file, json, graphviz dot, or the
-    order-complex face list.  Output ordering is deterministic."""
+    order-complex face list.  Output ordering is deterministic.  A base
+    that is not a point of p raises IndexError."""
+    if base is not None:
+        _check_point(p, base)
     if format == "poset":
         return _emit_poset(p, base)
     if format == "json":
@@ -102,7 +105,7 @@ def emit(p: FinitePoset, format: str = "poset", base: int | None = None) -> str:
     if format == "dot":
         return _emit_dot(p)
     if format == "faces":
-        return faces_text(order_complex(p))
+        return "".join(map(_face_lines, _chain_levels(p)))
     raise ValueError(f"unknown format {format!r}; pick one of {', '.join(FORMATS)}")
 
 

@@ -1,9 +1,12 @@
 """Exact integer linear algebra: Smith normal form and matrix rank.
 
-Entries are Python ints, so they never overflow.  Boundary matrices of
-order complexes are sparse and nearly all their entries are +-1, so
-``smith_invariant_factors`` takes sparse columns and eliminates every unit
-pivot first, shortest column first.  The few entries left over, none of
+Entries are Python ints, so they never overflow.  The matrices come from
+two places: the Morse boundaries between critical faces of an order
+complex (``order_complex.homology``) and the exponent rows of π1
+relators (``pi1.first_betti``, through ``matrix_rank``).  Both are sparse
+and nearly all their entries are +-1, so ``smith_invariant_factors``
+takes sparse columns and eliminates every unit pivot first, shortest
+column first.  The few entries left over, none of
 them a unit, are reduced on the same sparse columns by pivoting on an
 entry of least absolute value.  This is the sparse-first approach of
 Dumas, Heckenbach, Saunders and Welker, "Computing simplicial homology

@@ -23,6 +23,7 @@ from finito import (
 )
 from finito.cli import main
 from finito.fileio import parse_poset
+from finito.order_complex import MAX_CHAINS, _chain_totals
 
 COUNTER = """\
 c < a1
@@ -461,7 +462,7 @@ def test_sphere_face_list_limit_is_named(capsys, monkeypatch):
         raise AssertionError("the refusal comes before any work")
 
     monkeypatch.setattr(finito.cli, "sphere_model", reached)
-    monkeypatch.setattr(finito.fileio, "order_complex", reached)
+    monkeypatch.setattr(finito.fileio, "_chain_levels", reached)
     for n in ("11", "200"):
         for json_flag in ((), ("--json",)):
             code, out, err = run(capsys, "sphere", n, "--format", "faces", *json_flag)
@@ -472,6 +473,9 @@ def test_sphere_face_list_limit_is_named(capsys, monkeypatch):
     assert code == 0 and out.count("<") == 4 * 200
     code, out, _ = run(capsys, "sphere", "2", "--format", "faces")
     assert code == 0 and out.count("\n") == 3 ** 3 - 1
+    # the limit is the largest sphere whose chains ``_chain_levels`` lists
+    chains = [_chain_totals(finito.sphere_model(n))[0] for n in (10, 11)]
+    assert chains[0] <= MAX_CHAINS < chains[1]
 
 
 def test_sphere_json_with_dot_or_faces_is_refused(capsys, monkeypatch):

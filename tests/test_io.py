@@ -9,7 +9,7 @@ from finito import (
     parse_poset,
     sphere_model,
 )
-from finito.fileio import parse_map
+from finito.fileio import FORMATS, parse_map
 
 
 def test_parse_singleton():
@@ -86,6 +86,18 @@ def test_emit_base_round_trip():
     p = FinitePoset((1,), labels=("x",))
     _, base = parse_poset(emit(p, base=0))
     assert base == 0
+
+
+def test_emit_refuses_a_base_that_is_not_a_point():
+    chain = FinitePoset.chain(2)
+    labelled = FinitePoset.from_cover_pairs(2, [(0, 1)], labels=["a", "b"])
+    for p in (chain, labelled):
+        for fmt in FORMATS:
+            for base in (5, 2, -1):
+                with pytest.raises(IndexError, match=f"^point {base} out of range for n=2$"):
+                    emit(p, fmt, base=base)
+        for base in (0, 1):
+            assert parse_poset(emit(p, base=base))[1] == base
 
 
 def test_emit_rejects_bad_labels():

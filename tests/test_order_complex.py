@@ -306,16 +306,35 @@ def test_homology_matches_the_dense_route_on_suspended_moore_spaces():
     check_moore_spaces(MOORE_SUSPENSIONS_SLOW)
 
 
+def reference_mates(kx):
+    """The matching of the ``order_complex`` module docstring, straight from
+    its definition in O(n * faces) steps: for v = 0..n-1, each unpaired
+    face s of two or more vertices holding v is paired with s - v when that
+    face is unpaired.  ``mate[i]`` is the face paired with face i, i itself
+    for a critical face; faces are numbered by their place in ``kx.faces``."""
+    faces = kx.faces
+    position = {f: i for i, f in enumerate(faces)}
+    mate = list(range(len(faces)))
+    for v in range(kx.n_vertices):
+        for s, f in enumerate(faces):
+            if len(f) > 1 and v in f and mate[s] == s:
+                t = position[tuple(x for x in f if x != v)]
+                if mate[t] == t:
+                    mate[s], mate[t] = t, s
+    return mate
+
+
 def check_matching(kx):
     """The critical faces per degree of the matching on kx, after checking
-    that it pairs each face at most once, with a face one vertex larger or
-    smaller, and that it is acyclic: with the matched edges of the face
-    diagram (each face above its facets) turned upward, a Kahn sort reaches
-    every face."""
+    that it is the matching ``reference_mates`` defines, that it pairs each
+    face at most once, with a face one vertex larger or smaller, and that it
+    is acyclic: with the matched edges of the face diagram (each face above
+    its facets) turned upward, a Kahn sort reaches every face."""
     faces = kx.faces
     position = {f: i for i, f in enumerate(faces)}
     index, mate, critical = _morse_matching(kx)
     assert index == position
+    assert mate == reference_mates(kx)
     assert [i for cs in critical for i in cs] == [i for i, j in enumerate(mate) if i == j]
     assert len(critical) == len(kx.f_vector)
     assert all(len(faces[i]) == d + 1 for d, cs in enumerate(critical) for i in cs)
@@ -345,7 +364,8 @@ def check_matching(kx):
 
 
 def test_matching_is_acyclic(classes_upto):
-    """On every class of at most 6 points, as built and with its points
+    """On every class of at most 6 points and on the 300 seeded random graph
+    orders of ``test_differential``, each as built and with its points
     shuffled, on RP^2 and on Moore spaces as given and through face posets."""
     rng = random.Random(28)
     for p in classes_upto(6):
@@ -354,6 +374,9 @@ def test_matching_is_acyclic(classes_upto):
         for q in (p, p.relabel(perm)):
             critical = check_matching(order_complex(q))
             assert sum(map(len, critical)) >= sum(homology(order_complex(q)).betti)
+    for p, perm in random_posets(seed=20061106, count=300):
+        for q in (p, p.relabel(perm)):
+            check_matching(order_complex(q))
     check_matching(SimplicialComplex(6, rp2_faces()))
     for q in (2, 3):
         for kx, _ in moore_complexes(q, (1,) if q == 2 else ()):
@@ -426,7 +449,7 @@ def test_poset_homology_refuses_a_core_beyond_the_chain_limit(monkeypatch):
 
 
 def test_every_route_to_the_chains_refuses_beyond_the_limit(monkeypatch):
-    # each route lists the 26 chains of the S^2 model through order_complex
+    # each route lists the 26 chains of the S^2 model through _chain_levels
     s2 = sphere_model(2)
     module = importlib.import_module("finito.order_complex")  # the name is the function
     routes = {
