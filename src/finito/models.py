@@ -43,10 +43,8 @@ def nh_suspension(p: FinitePoset) -> FinitePoset:
     n = p.n
     two = (1 << n) | (1 << (n + 1))
     up = [row | two for row in p.up] + [1 << n, 1 << (n + 1)]
-    q = FinitePoset._trusted(up)
     every = (1 << n) - 1
-    q.down = p.down + (every | 1 << n, every | 1 << (n + 1))
-    return q
+    return FinitePoset._trusted(up, down=p.down + (every | 1 << n, every | 1 << (n + 1)))
 
 
 def sphere_model(n: int) -> FinitePoset:
@@ -193,9 +191,8 @@ def _children(parent: FinitePoset) -> list[FinitePoset]:
             continue
         taken |= _orbit(ideal, parent._aut)
         child = FinitePoset._trusted(
-            [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top])
-        child.__dict__["down"] = down + (ideal | top,)
-        child.__dict__["levels"] = levels + (key[0],)
+            [row | top if (ideal >> x) & 1 else row for x, row in enumerate(rows)] + [top],
+            down=down + (ideal | top,), levels=levels + (key[0],))
         if key == best and not _accepts_tie(child):
             continue
         accepted.append(child)

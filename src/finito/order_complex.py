@@ -195,6 +195,8 @@ def euler_characteristic(p: FinitePoset) -> int:
 def boundary_matrix(k: SimplicialComplex, d: int) -> list[list[int]]:
     """Integer matrix of the boundary map C_d -> C_{d-1} (d >= 1); rows and
     columns follow ``faces_of_dim``."""
+    if d < 1:
+        raise ValueError(f"boundary degree must be at least 1, got {d}")
     rows = {f: i for i, f in enumerate(k.faces_of_dim(d - 1))}
     columns = k.faces_of_dim(d)
     mat = [[0] * len(columns) for _ in rows]

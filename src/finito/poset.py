@@ -3,10 +3,9 @@
 The order relation is stored as bit-rows: ``up[x]`` is the bitmask of all
 ``y`` with ``x <= y`` (including ``x`` itself).  The order never changes
 after construction; ``down``, ``levels``, ``covers``, ``_cells`` (until
-labelled), ``_canon`` and ``_aut`` are filled in once, lazily.  ``down`` is
-never transposed from ``up`` where it is known on construction:
-``from_cover_pairs`` closes it beside ``up``, and ``opposite``,
-``models.nh_suspension`` and ``models._children`` set it themselves.
+labelled), ``_canon`` and ``_aut`` are filled in once, lazily.  A caller
+that already holds ``down`` or ``levels`` passes them to ``_trusted``, so
+``down`` is never transposed from ``up`` where it is known on construction.
 
 A cover relation from outside is checked in one place,
 ``FinitePoset.from_cover_pairs``; ``FinitePoset.covers`` gives the cover
@@ -103,17 +102,22 @@ class FinitePoset:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, up: Sequence[int], labels=None) -> "FinitePoset":
+    def _trusted(cls, up: Sequence[int], labels=None, down=None, levels=None) -> "FinitePoset":
         """Skip invariant validation for relations already known valid.
 
         Serves every order derived from a valid one (induced subposets,
         opposites, suspensions, quotients, closures of checked cover
-        relations) and the canonically labelled rows of enumeration.
+        relations) and the canonically labelled rows of enumeration.  The
+        ``down`` and ``levels`` rows, when given, fill the cached properties.
         """
         self = object.__new__(cls)
         self.n = len(up)
         self.up = tuple(up)
         self.labels = labels
+        if down is not None:
+            self.down = down
+        if levels is not None:
+            self.levels = levels
         return self
 
     @classmethod
@@ -154,9 +158,7 @@ class FinitePoset:
         for x in order:
             for y in above[x]:
                 down[y] |= down[x]
-        p = cls._trusted(up, labels)
-        p.down = tuple(down)  # fills the cached property, which has no setter
-        return p
+        return cls._trusted(up, labels, tuple(down))
 
     @classmethod
     def chain(cls, k: int) -> "FinitePoset":
@@ -195,9 +197,7 @@ class FinitePoset:
 
     def opposite(self) -> "FinitePoset":
         """Same points with the reversed order; an involution."""
-        q = FinitePoset._trusted(self.down, self.labels)
-        q.down = self.up  # fills the cached property, which has no setter
-        return q
+        return FinitePoset._trusted(self.down, self.labels, self.up)
 
     @cached_property
     def levels(self) -> tuple[int, ...]:

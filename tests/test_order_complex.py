@@ -248,10 +248,10 @@ def face_poset(faces):
                         for f in faces])
 
 
-def per_degree_homology(kx):
-    """Homology read off the dense oracle's factors of every full boundary
-    matrix, each degree on its own."""
-    factors = {d: dense_invariant_factors(boundary_matrix(kx, d)) for d in range(1, kx.dim + 1)}
+def per_degree_homology(kx, invariant_factors=dense_invariant_factors):
+    """Homology read off the invariant factors (by default the dense
+    oracle's) of every full boundary matrix, each degree on its own."""
+    factors = {d: invariant_factors(boundary_matrix(kx, d)) for d in range(1, kx.dim + 1)}
     rank = {d: len(factors.get(d, ())) for d in range(kx.dim + 2)}
     return HomologySummary(
         tuple(kx.f_vector[d] - rank[d] - rank[d + 1] for d in range(kx.dim + 1)),
@@ -544,6 +544,35 @@ def test_sparse_kernel_matches_dense_snf(classes_upto):
             assert smith_invariant_factors(sparse_columns(m)) == dense_invariant_factors(m)
 
 
+def test_sparse_kernel_on_full_boundaries_with_hundreds_of_columns():
+    """The kernel on whole boundary matrices, up to 672 columns (degree 4
+    of S^6), gives the homology of the Morse route."""
+    def layers(w, count):
+        n = w * count
+        return FinitePoset([sum(1 << y for y in range(n) if y == x or y // w > x // w)
+                            for x in range(n)])
+
+    spaces = [sphere_model(n) for n in range(1, 7)]
+    spaces += [layers(3, 3), layers(4, 4), layers(5, 4), face_poset(rp2_faces())]
+    widest = 0
+    for p in spaces:
+        kx = order_complex(p)
+        sparse = per_degree_homology(kx, lambda m: smith_invariant_factors(sparse_columns(m)))
+        assert sparse == homology(kx)
+        widest = max(widest, *kx.f_vector[1:])
+    assert widest == 672
+
+
+def test_boundary_matrix_degrees():
+    """Degrees below 1 are refused by name; one above the top gives one
+    row per top face and no columns."""
+    kx = order_complex(FinitePoset.chain(2))
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"got {d}"):
+            boundary_matrix(kx, d)
+    assert boundary_matrix(kx, kx.dim + 1) == [[]]
+
+
 def test_eliminate_unit_pivots_known():
     """Matrices with and without unit pivots, and what the unit
     elimination leaves for the rest of the kernel."""
@@ -553,6 +582,8 @@ def test_eliminate_unit_pivots_known():
         ([[1, 1], [1, -1]], [1, 2]),  # elimination leaves the entry -2
         ([[1, 1, 0], [1, -1, 2], [0, 2, 4]], [1, 2, 6]),
         ([[3, 0], [0, 1]], [1, 3]),
+        # the unit pass finds no unit in column 0; eliminating column 1 makes one
+        ([[2, 1], [3, 1]], [1, 1]),
     ]:
         assert smith_invariant_factors(sparse_columns(m)) == want == dense_invariant_factors(m)
     assert smith_invariant_factors([]) == []
