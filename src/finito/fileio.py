@@ -19,6 +19,8 @@ from .order_complex import _chain_levels, _face_lines
 from .poset import FinitePoset, _check_point
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+")
+# the labels a poset file and a dot file can hold
+_WRITABLE = {"poset": _IDENT, "dot": re.compile(r'[^"\\]*')}
 
 FORMATS = ("poset", "json", "dot", "faces")
 
@@ -85,17 +87,19 @@ def parse_poset(text: str) -> tuple[FinitePoset, int | None]:
     return FinitePoset.from_cover_pairs(len(index), covers, tuple(index)), base
 
 
-def _emittable_label(p: FinitePoset, x: int) -> str:
+def _emittable_label(p: FinitePoset, x: int, format: str = "poset") -> str:
     name = p.label(x)
-    if not _IDENT.fullmatch(name):
-        raise ValueError(f"label {name!r} cannot appear in a poset file")
+    if not _WRITABLE[format].fullmatch(name):
+        raise ValueError(f"label {name!r} cannot appear in a {format} file")
     return name
 
 
 def emit(p: FinitePoset, format: str = "poset", base: int | None = None) -> str:
     """Render a poset as text: poset file, json, graphviz dot, or the
     order-complex face list.  Output ordering is deterministic.  A base
-    that is not a point of p raises IndexError."""
+    that is not a point of p raises IndexError, and a label the format
+    cannot hold ValueError: a poset file takes identifiers only, and a dot
+    file no label holding ``"`` or ``\\``."""
     if base is not None:
         _check_point(p, base)
     if format == "poset":
@@ -128,16 +132,20 @@ def _emit_json(p: FinitePoset, base: int | None) -> str:
 
 
 def _emit_dot(p: FinitePoset) -> str:
-    """Hasse diagram with lower elements below: rank groups by level."""
+    """Hasse diagram with lower elements below: rank groups by level.  A
+    quoted DOT string has one escape, ``\\"``, so a label ending in ``\\``
+    would escape its closing quote however it were escaped: a label
+    holding ``"`` or ``\\`` is refused."""
+    names = [f'"{_emittable_label(p, x, "dot")}"' for x in range(p.n)]
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
     by_level: dict[int, list[int]] = {}
     for x in range(p.n):
         by_level.setdefault(p.levels[x], []).append(x)
     for level in sorted(by_level):
-        names = " ".join(f'"{p.label(x)}";' for x in by_level[level])
-        lines.append(f"  {{ rank=same; {names} }}")
+        rank = " ".join(f"{names[x]};" for x in by_level[level])
+        lines.append(f"  {{ rank=same; {rank} }}")
     for x, y in p.covers:
-        lines.append(f'  "{p.label(x)}" -> "{p.label(y)}";')
+        lines.append(f"  {names[x]} -> {names[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

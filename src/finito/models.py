@@ -70,10 +70,12 @@ def bipartite_model(i: int, j: int) -> FinitePoset:
 
 def minimal_wedge_size(n: int) -> int:
     """Point count of any minimal model of an n-circle wedge: the least
-    i+j with (i-1)(j-1) >= n."""
+    i+j with (i-1)(j-1) >= n, where j-1 = ceil(n/(i-1)) for each i.  Only
+    i-1 <= isqrt(n)+1 is tried: when i-1 > j-1, swapping the sides gives a
+    sum no larger whose smaller side is at most ceil(sqrt n)."""
     if n < 1:
         raise ValueError("the wedge needs at least one circle")
-    return min(i + (n + i - 2) // (i - 1) + 1 for i in range(2, n + 2))
+    return min(i + (n + i - 2) // (i - 1) + 1 for i in range(2, isqrt(n) + 3))
 
 
 @dataclass(frozen=True)

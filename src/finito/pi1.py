@@ -195,23 +195,20 @@ def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
     such generator; the surviving generators are numbered 1.. in their
     original order, and the relators are listed by (length, word).
     """
-    relators = {cyclic_reduce(r) for r in pres.relators}
-    relators.discard(())
-    containing = defaultdict(set)  # generator -> live relators it occurs in
-    for r in relators:
-        for letter in r:
-            containing[abs(letter)].add(r)
+    relators, heap = set(), []
+    containing = defaultdict(set)  # generator -> relators it occurs in, live or dropped
 
-    def drop(r):
-        relators.discard(r)
-        for letter in r:
-            containing[abs(letter)].discard(r)
+    def add(w):
+        relators.add(w)
+        heapq.heappush(heap, (len(w), w))
+        for letter in w:
+            containing[abs(letter)].add(w)
 
+    for w in {cyclic_reduce(r) for r in pres.relators}:
+        add(w)
     # Generators keep their original numbers until the end; the final
     # renumbering is monotone, so it preserves every (length, word) order
     # and every choice of the lowest generator made here.
-    heap = [(len(r), r) for r in relators]
-    heapq.heapify(heap)
     eliminated = set()
     while heap:
         rel = heapq.heappop(heap)[1]
@@ -228,10 +225,12 @@ def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
         # rot starts with a^s, so a = inverse(rest)^s
         expr = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
         inverse = invert_word(expr)
-        drop(rel)
+        relators.remove(rel)
         eliminated.add(a)
-        for r in containing.pop(a, ()):
-            drop(r)
+        for r in containing.pop(a):
+            if r not in relators:
+                continue
+            relators.remove(r)
             out = []
             for letter in r:
                 if letter == a:
@@ -242,10 +241,7 @@ def tietze_simplify(pres: GroupPresentation) -> GroupPresentation:
                     out.append(letter)
             w = cyclic_reduce(out)
             if w and w not in relators:
-                relators.add(w)
-                for letter in w:
-                    containing[abs(letter)].add(w)
-                heapq.heappush(heap, (len(w), w))
+                add(w)
     kept = [v for v in range(1, pres.generators + 1) if v not in eliminated]
     number = {v: i for i, v in enumerate(kept, 1)}
     renumbered = (

@@ -48,27 +48,6 @@ def _checked_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...] | N
     return labels
 
 
-def _toposort(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Kahn topological order of the cover digraph; raises CycleError."""
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for x, y in covers:
-        succ[x].append(y)
-        indeg[y] += 1
-    queue = sorted(x for x in range(n) if indeg[x] == 0)
-    order = []
-    while queue:
-        x = queue.pop()
-        order.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if len(order) != n:
-        raise CycleError("cover relation contains a directed cycle")
-    return tuple(order)
-
-
 class FinitePoset:
     """A nonempty finite poset, i.e. a finite T0 topological space.
 
@@ -139,19 +118,27 @@ class FinitePoset:
         """
         if n < 1:
             raise EmptyError("a finite space needs at least one point")
-        pairs = frozenset(pairs)
-        for x, y in pairs:
+        above = [[] for _ in range(n)]
+        indegree = [0] * n
+        for x, y in frozenset(pairs):
             if not (0 <= x < n and 0 <= y < n):
                 raise IndexError(f"cover ({x}, {y}) out of range for n={n}")
             if x == y:
                 raise CycleError(f"self-loop at {x}")
+            above[x].append(y)
+            indegree[y] += 1
         labels = _checked_labels(labels, n)
+        # Kahn's rule: list a point once every point below it is listed
+        order = [x for x in range(n) if not indegree[x]]
+        for x in order:
+            for y in above[x]:
+                indegree[y] -= 1
+                if not indegree[y]:
+                    order.append(y)
+        if len(order) != n:
+            raise CycleError("cover relation contains a directed cycle")
         up = [1 << x for x in range(n)]
         down = list(up)
-        above = [[] for _ in range(n)]
-        for x, y in pairs:
-            above[x].append(y)
-        order = _toposort(n, pairs)
         for x in reversed(order):
             for y in above[x]:
                 up[x] |= up[y]

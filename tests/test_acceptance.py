@@ -125,6 +125,8 @@ def test_criterion_3_wedge_theorem(classes_upto):
             assert minimal_wedge_size(n) == direct == closed_form_size(n)
         for n in range(13, 1001):
             assert minimal_wedge_size(n) == closed_form_size(n), n
+        # the minimum over i - 1 <= isqrt(n) + 1 needs no loop to n
+        assert minimal_wedge_size(10**10) == closed_form_size(10**10)
 
         for n in range(1, 13):
             size = minimal_wedge_size(n)

@@ -108,6 +108,12 @@ def test_emit_rejects_bad_labels():
     p = FinitePoset.from_cover_pairs(2, [(0, 1)], labels=["a\n", "b"])
     with pytest.raises(ValueError, match=r"label 'a\\n' cannot appear in a poset file"):
         emit(p)
+    # a quoted DOT string's one escape is \", so "b\" would stay open
+    for bad in ('a"', "b\\"):
+        p = FinitePoset.from_cover_pairs(2, [(0, 1)], labels=[bad, "c"])
+        with pytest.raises(ValueError) as info:
+            emit(p, "dot")
+        assert str(info.value) == f"label {bad!r} cannot appear in a dot file"
 
 
 def test_emit_dot_golden(ss0):

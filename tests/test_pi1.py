@@ -267,6 +267,18 @@ def test_tietze_matches_rescanning_oracle(classes_upto):
     assert not_free > 100
 
 
+def test_tietze_matches_rescanning_oracle_on_layered_presentations():
+    """Edge-path presentations of the 4x4, 3x6 and 5x5 layers (W points a
+    layer, each above the whole layer below): 81..226 generators and
+    256..1,250 relators, where the eliminations rewrite 392..2,140
+    relators in all and meet 657..3,406 dropped relators in the index."""
+    for width, count in ((4, 4), (3, 6), (5, 5)):
+        n = width * count
+        pairs = [(x, y) for x in range(n) for y in range(n) if y // width == x // width + 1]
+        pres = edge_path_presentation(FinitePoset.from_cover_pairs(n, pairs), 0)
+        assert tietze_simplify(pres) == rescanning_tietze(pres), (width, count)
+
+
 def test_group_presentation_normalizes():
     pres = GroupPresentation(2, ((1, -1), (1, 2, -2, -1)))
     assert pres.relators == ()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,51 @@ def test_from_covers_rejects_cycles_and_empty():
             FinitePoset.from_cover_pairs(*args)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+def test_from_covers_matches_brute_closure_on_random_digraphs():
+    """Seeded digraphs of 1..12 points, mostly upward in a random linear
+    order, some with a long path along it, repeated pairs, self-loops and
+    backward pairs: CycleError exactly when a point reaches itself by one
+    or more pairs, else ``up`` and ``down`` are the reflexive-transitive
+    closure and its transpose."""
+    rng = random.Random(35)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        line = rng.sample(range(n), n)
+        rank = {x: i for i, x in enumerate(line)}
+        pairs = list(zip(line, line[1:])) if rng.random() < 0.3 else []
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            x, y = rng.sample(line, 2)
+            if rng.random() < 0.9:
+                x, y = sorted((x, y), key=rank.get)
+            pairs.append((x, y))
+        if rng.random() < 0.15:
+            pairs.append((rng.randrange(n),) * 2)
+        if pairs:
+            pairs += rng.choices(pairs, k=rng.randint(0, 2))
+        reach = [0] * n  # the points x reaches by one or more pairs
+        for x, y in pairs:
+            reach[x] |= 1 << y
+        for k in range(n):
+            for x in range(n):
+                if (reach[x] >> k) & 1:
+                    reach[x] |= reach[k]
+        seen["repeated"] += len(set(pairs)) < len(pairs)
+        if any((reach[x] >> x) & 1 for x in range(n)):
+            loops = {f"self-loop at {x}" for x, y in pairs if x == y}
+            with pytest.raises(CycleError) as info:
+                FinitePoset.from_cover_pairs(n, pairs)
+            assert str(info.value) in (loops or {"cover relation contains a directed cycle"})
+            seen["self-loop" if loops else "cycle"] += 1
+            continue
+        p = FinitePoset.from_cover_pairs(n, pairs)
+        up = tuple(reach[x] | 1 << x for x in range(n))
+        assert p.up == up
+        assert p.down == tuple(sum(1 << x for x in range(n) if (up[x] >> y) & 1) for y in range(n))
+        seen["order"] += 1
+    assert min(seen.values()) > 200, seen
 
 
 def test_constructor_rejects_bad_labels():
